@@ -634,6 +634,34 @@ fn bench_wal(c: &mut Criterion) {
         drop(log);
         let _ = std::fs::remove_dir_all(&dir);
     });
+
+    // A commit point with nothing appended since the last one — what the
+    // engine marks after every burst that only answered a begin, a read
+    // or a heartbeat. It used to cost an fsync of the unchanged file
+    // under `Always` (and open a window under `Window`); it is a branch.
+    for (name, policy) in [
+        ("wal_commit_point_idle_always", FsyncPolicy::Always),
+        (
+            "wal_commit_point_idle_window",
+            FsyncPolicy::Window {
+                max_delay: std::time::Duration::from_millis(1),
+                max_bytes: 1 << 20,
+            },
+        ),
+    ] {
+        c.bench_function(name, |b| {
+            let dir =
+                std::env::temp_dir().join(format!("wren-bench-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut log = DurableLog::open(&dir, policy).unwrap().log;
+            log.log_remote_batch(1, true, Timestamp::from_micros(10), &batch);
+            log.commit_point().unwrap();
+            log.sync_now().unwrap();
+            b.iter(|| black_box(&mut log).commit_point().unwrap());
+            drop(log);
+            let _ = std::fs::remove_dir_all(&dir);
+        });
+    }
 }
 
 fn bench_obs(c: &mut Criterion) {

@@ -34,7 +34,7 @@
 use std::path::{Path, PathBuf};
 use wren_clock::Timestamp;
 use wren_protocol::codec::{size, CodecError, Dec, Enc};
-use wren_protocol::{Key, RepTx, TxId, Value};
+use wren_protocol::{Key, RepTx, TxId, Value, WrenMsg};
 use wren_storage::checkpoint;
 use wren_storage::{FsyncPolicy, Wal};
 
@@ -56,7 +56,8 @@ const OP_CATCH_UP_DONE: u8 = 7;
 /// replication tick logs one [`WalOp::Applied`] per data-bearing tick
 /// and one [`WalOp::RemoteBatch`] per incoming `apply_batch`, and BiST
 /// advances log [`WalOp::Stable`]. Group commit makes a batch of these
-/// durable before the messages they justify are dispatched.
+/// durable before the messages they justify are dispatched;
+/// [`asserts_logged_state`] says which messages those are.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
     /// A transaction entered the prepared list (Algorithm 3 line 18).
@@ -123,6 +124,63 @@ pub enum WalOp {
         /// The sibling's version clock at the end of its re-scan.
         t: Timestamp,
     },
+}
+
+/// Whether an outgoing message **asserts state that lives in the
+/// sender's log** — the other half of the [`WalOp`] contract. A driver
+/// that defers fsyncs (`FsyncPolicy::Window`) must hold such a message
+/// while the log has unsynced bytes, or a power cut could take back
+/// what the message already said; every other message may leave at
+/// once. One exhaustive match, no `_` arm: a new message kind has to be
+/// classified before the crate compiles.
+///
+/// Why the `false` arms are safe. Each is a function of client-supplied
+/// data plus a snapshot `(lt, rt)` that was *already released* to a
+/// client under this very rule: a `TxReadReq` or `CommitReq` cannot
+/// exist before its `StartTxResp` left, and that reply is held until
+/// the coordinator's log is synced. A released snapshot names only
+/// versions that were durable at every partition of the DC before it
+/// circulated — each partition's contribution to the stable cut is
+/// itself gossiped under the rule — so nothing said about it depends on
+/// bytes a power cut can still remove.
+pub fn asserts_logged_state(msg: &WrenMsg) -> bool {
+    match msg {
+        // Keys chosen by the client, read at a released snapshot.
+        WrenMsg::SliceReq { .. } => false,
+        // Versions inside a released snapshot: durable everywhere.
+        WrenMsg::SliceResp { .. } | WrenMsg::TxReadResp { .. } => false,
+        // The client's writes, its `hwt` and a released snapshot; the
+        // coordinator's own `Prepared` record is not part of the claim.
+        WrenMsg::PrepareReq { .. } => false,
+        // Zero `ct`: a read-only teardown, or the in-doubt abort notice —
+        // which asserts only the *absence* of a decision record, and a
+        // power cut preserves absence. Nonzero: `Decided`.
+        WrenMsg::CommitResp { ct, .. } => !ct.is_zero(),
+        // The snapshot it releases can rest on this partition's own
+        // unsynced `Applied` contribution to the stable cut.
+        WrenMsg::StartTxResp { .. } => true,
+        // `Prepared`: a vote the recovered cohort must still stand by.
+        WrenMsg::PrepareResp { .. } => true,
+        // `Decided` (also sent for aborts, which need no hold; they are
+        // rare and ride along).
+        WrenMsg::Commit { .. } => true,
+        // `Commit` + `Applied`: shipped transactions are installed here,
+        // and the heartbeat vouches that nothing older is still to come.
+        WrenMsg::Replicate { .. } | WrenMsg::Heartbeat { .. } => true,
+        // `Applied` / `RemoteBatch`: this partition's contribution to
+        // the stable cut, or a cut built on it.
+        WrenMsg::StableGossip { .. } | WrenMsg::GossipUp { .. } | WrenMsg::GossipDown { .. } => {
+            true
+        }
+        // `Stable`: peers collect versions below what this announces.
+        WrenMsg::GcGossip { .. } => true,
+        // `RemoteBatch`: "I hold everything of yours up to here".
+        WrenMsg::CatchUpReq { .. } => true,
+        // `Applied`: the re-shipped versions and the clock closing them.
+        WrenMsg::CatchUpDone { .. } => true,
+        // Client requests: a server never emits them.
+        WrenMsg::StartTxReq { .. } | WrenMsg::TxReadReq { .. } | WrenMsg::CommitReq { .. } => true,
+    }
 }
 
 pub(crate) fn put_writes(e: &mut Enc, writes: &[(Key, Value)]) {
@@ -463,6 +521,13 @@ impl DurableLog {
         self.seq = next;
         checkpoint::prune_generations(&self.dir, next.saturating_sub(1));
         Ok(())
+    }
+
+    /// The active WAL file and how many of its bytes are fsynced — all
+    /// a power cut leaves of it (sealed generations and checkpoints are
+    /// synced when written).
+    pub fn synced_prefix(&self) -> (&Path, u64) {
+        (self.wal.path(), self.wal.synced_len())
     }
 
     /// The active generation number.

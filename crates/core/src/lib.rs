@@ -62,7 +62,7 @@ mod visibility;
 
 pub use client::{ClientStats, ReadOutcome, WrenClient};
 pub use config::WrenConfig;
-pub use durability::{DurableBoot, DurableLog, WalOp};
+pub use durability::{asserts_logged_state, DurableBoot, DurableLog, WalOp};
 pub use metrics::{ServerMetrics, ServerTrace, TxEvent};
 pub use wren_storage::FsyncPolicy;
 pub use server::{ServerStats, SliceReader, WrenServer};

@@ -1338,11 +1338,16 @@ impl WrenServer {
         // `FsyncPolicy::Always` (the record is durable before the vote
         // escapes); the one-second jump also absorbs the EveryN/Off
         // loss window so a reissued proposal cannot order below a
-        // pre-crash one that escaped unlogged.
-        s.hlc = HybridClock::starting_at(Timestamp::from_parts(
-            max_seen.physical_micros() + 1_000_000,
-            0,
-        ));
+        // pre-crash one that escaped unlogged. A directory that held
+        // nothing had no previous life to order after: a fresh durable
+        // server starts at zero like a volatile one, not a second ahead
+        // of the physical clock.
+        if boot.checkpoint.is_some() || !boot.ops.is_empty() {
+            s.hlc = HybridClock::starting_at(Timestamp::from_parts(
+                max_seen.physical_micros() + 1_000_000,
+                0,
+            ));
+        }
         // Never reuse a transaction id: coordinator contexts are
         // volatile, so ids above the highest logged one may have been
         // handed out and lost — the margin jumps past them.
@@ -1572,10 +1577,10 @@ impl WrenServer {
     }
 
     /// Marks a group-commit point: buffered WAL records become durable
-    /// per the fsync policy (no-op without a log). The engine calls this
-    /// after a burst of handled messages, before dispatching the outputs
-    /// those records justify — so nothing ACKed or shipped can outrun
-    /// the log.
+    /// per the fsync policy (no-op without a log, and when the burst
+    /// logged nothing). The engine calls this after a burst of handled
+    /// messages, before dispatching the outputs those records justify —
+    /// so nothing ACKed or shipped can outrun the log.
     pub fn log_commit_point(&mut self) -> std::io::Result<()> {
         match &mut self.log {
             Some(l) => l.commit_point(),
@@ -1591,11 +1596,11 @@ impl WrenServer {
         }
     }
 
-    /// When the WAL's open group-commit window must close — `None`
-    /// unless the policy is `FsyncPolicy::Window` with unsynced commit
-    /// points pending. While `Some`, the engine holds the responses
-    /// those commit points justify and joins the deadline into its tick
-    /// schedule.
+    /// When the WAL's open group-commit window must close — `Some`
+    /// exactly while the policy is `FsyncPolicy::Window` and the log has
+    /// unsynced bytes. While `Some`, the engine holds the outputs that
+    /// [assert logged state](crate::asserts_logged_state) and joins the
+    /// deadline into its tick schedule.
     pub fn log_sync_deadline(&self) -> Option<std::time::Instant> {
         self.log.as_ref().and_then(|l| l.sync_deadline())
     }
@@ -1612,6 +1617,30 @@ impl WrenServer {
     /// Whether a durability log is attached.
     pub fn is_durable(&self) -> bool {
         self.log.is_some()
+    }
+
+    /// The active WAL file and its fsynced length (`None` without a
+    /// log): truncating the file to that length is the byte-level model
+    /// of a power cut, as opposed to a process kill, which keeps
+    /// everything the OS was handed.
+    pub fn log_synced_prefix(&self) -> Option<(std::path::PathBuf, u64)> {
+        self.log.as_ref().map(|l| {
+            let (path, len) = l.synced_prefix();
+            (path.to_path_buf(), len)
+        })
+    }
+
+    /// The highest timestamp in this server's clock state: the hybrid
+    /// clock (after [`recover`](Self::recover), its floor) and the
+    /// version vector — which also bounds the stable cut, a minimum over
+    /// vector entries (whose remote half in a single-DC cluster is the
+    /// `MAX` sentinel, not a time). A driver that starts physical time
+    /// afresh over recovered servers must start it at or above this on
+    /// every one of them: below it, new commits are stamped by the
+    /// logical counter alone and stay invisible until physical time has
+    /// caught up with the previous life.
+    pub fn max_timestamp(&self) -> Timestamp {
+        self.vv.iter().fold(self.hlc.current(), Timestamp::max)
     }
 
     /// Begins post-restart catch-up: asks every sibling to re-ship its

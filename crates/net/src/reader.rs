@@ -52,7 +52,13 @@ impl FramedReader {
             if let Some(payload) = self.decoder.next_frame()? {
                 return Ok(Some(payload));
             }
-            let n = self.stream.read(&mut self.buf)?;
+            let n = match self.stream.read(&mut self.buf) {
+                // A signal landing on the blocked thread is no socket
+                // error (`read_exact` retries it too); surfacing it
+                // severed healthy sessions under parallel test load.
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                read => read?,
+            };
             if n == 0 {
                 return if self.decoder.has_partial() {
                     Err(NetError::TruncatedFrame)

@@ -13,11 +13,11 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wren_core::{ServerStats, ServerTrace, TxEvent, WrenConfig};
+use wren_clock::SystemClock;
+use wren_core::{FsyncPolicy, ServerStats, ServerTrace, TxEvent, WrenConfig};
 use wren_net::{Backend, FaultPlan};
 use wren_obs::{MetricsSnapshot, Registry};
 use wren_protocol::{ClientId, Dest, Outgoing, ServerId, WrenMsg};
-use wren_core::FsyncPolicy;
 
 /// What travels on a writer thread's inbox.
 pub(crate) enum RtMsg {
@@ -279,7 +279,7 @@ impl Router {
         }
     }
 
-    pub(crate) fn dispatch(&self, src: ServerId, out: Vec<Outgoing<WrenMsg>>) {
+    pub(crate) fn dispatch(&self, src: ServerId, out: impl IntoIterator<Item = Outgoing<WrenMsg>>) {
         for Outgoing { to, msg } in out {
             match to {
                 Dest::Server(s) => self.send_to_server(Dest::Server(src), s, msg),
@@ -584,11 +584,10 @@ fn ticks_of(cfg: &ClusterBuilder) -> crate::engine::Ticks {
 /// The durability opening for partition `id` under `cfg`, if any:
 /// every partition logs into its own subdirectory of the cluster's
 /// durability root.
-fn durability_of(cfg: &ClusterBuilder, id: ServerId, rejoin: bool) -> Option<Durability> {
+fn durability_of(cfg: &ClusterBuilder, id: ServerId) -> Option<Durability> {
     cfg.durable_dir.as_ref().map(|root| Durability {
         dir: root.join(format!("dc{}_p{}", id.dc.0, id.partition.0)),
         policy: cfg.fsync,
-        rejoin,
     })
 }
 
@@ -692,7 +691,10 @@ pub struct Cluster {
     /// cluster runs without read workers).
     read_rxs: Vec<Option<Receiver<ReadJob>>>,
     wren_cfg: WrenConfig,
-    epoch: Instant,
+    /// The cluster's physical time, shared by every engine (restarted
+    /// ones included): microseconds since the build, above a base no
+    /// lower than any timestamp recovered from a durable directory.
+    clock: SystemClock,
     /// Listener addresses in TCP mode (DC-major partition order).
     addrs: Arc<Vec<SocketAddr>>,
     next_client: AtomicU32,
@@ -791,25 +793,42 @@ impl Cluster {
             visibility_sample_every: 0,
             gossip_fanout: cfg.gossip_fanout,
         };
-        let epoch = Instant::now();
+
+        // Every partition is built — durable ones recovered — before the
+        // first writer loop runs, because physical time must start at or
+        // above every timestamp any of them brought back: under a
+        // recovered hybrid clock that is ahead of physical time, commits
+        // are stamped by the logical counter alone, and a write that
+        // does not touch every partition stays invisible until physical
+        // time has caught up with the previous life.
+        let ids =
+            (0..cfg.n_dcs).flat_map(|dc| (0..cfg.n_partitions).map(move |p| ServerId::new(dc, p)));
+        let servers: Vec<_> = ids
+            .map(|id| {
+                let durable = durability_of(&cfg, id);
+                let server = PartitionEngine::recover(id, wren_cfg, durable, cfg.tx_abort_timeout);
+                (id, server)
+            })
+            .collect();
+        let base = servers
+            .iter()
+            .map(|(_, s)| s.max_timestamp().physical_micros())
+            .max()
+            .unwrap_or(0);
+        let clock = SystemClock::with_offset(Instant::now(), base as i64);
 
         let mut engines = Vec::with_capacity(total);
-        for dc in 0..cfg.n_dcs {
-            for p in 0..cfg.n_partitions {
-                let id = ServerId::new(dc, p);
-                let idx = id.dc_major_index(cfg.n_partitions);
-                engines.push(Some(PartitionEngine::launch(
-                    id,
-                    wren_cfg,
-                    epoch,
-                    rxs[idx].clone(),
-                    read_rxs[idx].clone().map(|rx| (rx, cfg.read_workers)),
-                    Arc::clone(&router),
-                    ticks_of(&cfg),
-                    durability_of(&cfg, id, false),
-                    cfg.tx_abort_timeout,
-                )));
-            }
+        for (idx, (id, server)) in servers.into_iter().enumerate() {
+            engines.push(Some(PartitionEngine::spawn(
+                id,
+                server,
+                clock.clone(),
+                rxs[idx].clone(),
+                read_rxs[idx].clone().map(|rx| (rx, cfg.read_workers)),
+                Arc::clone(&router),
+                ticks_of(&cfg),
+                false,
+            )));
         }
 
         // Observability: collect every engine's registry + trace ring,
@@ -865,7 +884,7 @@ impl Cluster {
             server_rxs: rxs,
             read_rxs,
             wren_cfg,
-            epoch,
+            clock,
             addrs,
             next_client: AtomicU32::new(0),
             next_coordinator: AtomicU32::new(0),
@@ -989,8 +1008,15 @@ impl Cluster {
     /// statistics. The writer thread exits without draining its inbox,
     /// without dispatching pending responses and **without flushing or
     /// sealing its WAL**: whatever bytes the fsync policy left buffered
-    /// are lost, exactly as a crash would lose them. Read workers are
-    /// stopped too (reads are stateless, so nothing is lost there).
+    /// in user space are lost, exactly as a crash would lose them. Read
+    /// workers are stopped too (reads are stateless, so nothing is lost
+    /// there).
+    ///
+    /// This is a **process** kill: the machine stays up, so every byte
+    /// the WAL had handed to the OS survives in the page cache whether
+    /// or not it was fsynced — an open `FsyncPolicy::Window` loses
+    /// nothing here. [`power_cut_partition`](Self::power_cut_partition)
+    /// is the failure that takes the unsynced bytes too.
     ///
     /// In TCP mode the kill extends to the partition's sockets: its
     /// listener closes (freeing the address for the restart rebind) and
@@ -1008,6 +1034,40 @@ impl Cluster {
     /// Panics if `dc`/`p` are out of range, or if the partition is
     /// already down.
     pub fn kill_partition(&mut self, dc: u8, p: u16) -> ServerStats {
+        self.take_down(dc, p).0
+    }
+
+    /// Cuts the power under one partition: the same abrupt kill as
+    /// [`kill_partition`](Self::kill_partition), after which the
+    /// partition's active WAL file is truncated to its fsynced length —
+    /// the page cache dies with the machine, so only what an fsync put
+    /// on the medium is still there at restart. Under
+    /// `FsyncPolicy::Always` that is everything a commit point covered;
+    /// under `FsyncPolicy::Window` the records of the open window are
+    /// gone, and the durability promise is that nothing a client or
+    /// peer was told depended on them.
+    /// [`restart_partition`](Self::restart_partition) brings the
+    /// partition back from what is left.
+    ///
+    /// # Panics
+    ///
+    /// As [`kill_partition`](Self::kill_partition); also if truncating
+    /// the log file fails.
+    pub fn power_cut_partition(&mut self, dc: u8, p: u16) -> ServerStats {
+        let (stats, synced_wal) = self.take_down(dc, p);
+        if let Some((path, synced_len)) = synced_wal {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|wal| wal.set_len(synced_len))
+                .expect("truncate the WAL to its fsynced prefix");
+        }
+        stats
+    }
+
+    /// Kills partition `(dc, p)`'s engine and sockets and joins its
+    /// threads; what the dead engine leaves behind.
+    fn take_down(&mut self, dc: u8, p: u16) -> crate::engine::Remains {
         let id = ServerId::new(dc, p);
         let idx = id.dc_major_index(self.cfg.n_partitions);
         let engine = self.engines[idx].take().expect("partition already down");
@@ -1031,7 +1091,8 @@ impl Cluster {
     }
 
     /// Restarts a partition previously taken down by
-    /// [`kill_partition`](Self::kill_partition): recovers the engine
+    /// [`kill_partition`](Self::kill_partition) or
+    /// [`power_cut_partition`](Self::power_cut_partition): recovers the engine
     /// from its WAL + newest checkpoint, then has it ask its sibling
     /// replicas to re-ship whatever replicated commits died in the old
     /// process's inbox (catch-up), after which it serves traffic as if
@@ -1079,18 +1140,25 @@ impl Cluster {
                 Fabric::Reactor(f) => f.restart_server(id, listener),
             }
         }
-        let engine = PartitionEngine::launch(
+        // The restarted engine runs on the cluster's clock, which kept
+        // going while the partition was down.
+        let server = PartitionEngine::recover(
             id,
             self.wren_cfg,
-            self.epoch,
+            durability_of(&self.cfg, id),
+            self.cfg.tx_abort_timeout,
+        );
+        let engine = PartitionEngine::spawn(
+            id,
+            server,
+            self.clock.clone(),
             self.server_rxs[idx].clone(),
             self.read_rxs[idx]
                 .clone()
                 .map(|rx| (rx, self.cfg.read_workers)),
             Arc::clone(&self.router),
             ticks_of(&self.cfg),
-            durability_of(&self.cfg, id, true),
-            self.cfg.tx_abort_timeout,
+            true,
         );
         // The new process gets a fresh registry and trace ring (its
         // pre-crash metrics died with it, as on a real host); the
@@ -1138,7 +1206,7 @@ impl Cluster {
         let stats = self
             .engines
             .drain(..)
-            .map(|e| e.map_or_else(ServerStats::default, PartitionEngine::join))
+            .map(|e| e.map_or_else(ServerStats::default, |e| e.join().0))
             .collect();
         if let Some(fabric) = self.router.tcp() {
             fabric.join_threads();

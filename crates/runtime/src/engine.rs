@@ -52,10 +52,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wren_clock::{SkewedClock, Timestamp};
-use wren_core::{ServerStats, SliceReader, WrenConfig, WrenServer};
+use wren_clock::{SkewedClock, SystemClock, Timestamp};
+use wren_core::{
+    asserts_logged_state, FsyncPolicy, ServerStats, SliceReader, WrenConfig, WrenServer,
+};
 use wren_protocol::{Dest, Key, Outgoing, ServerId, TxId, WrenMsg};
-use wren_core::FsyncPolicy;
 
 /// What travels on a partition's read channel: a slice request peeled
 /// out of the protocol stream, or a poison pill stopping one worker.
@@ -84,7 +85,7 @@ pub(crate) enum ReadJob {
 /// machine moves into the writer thread, so the cluster can snapshot a
 /// live partition (and dump its trace post-mortem) without touching it.
 pub(crate) struct PartitionEngine {
-    writer: JoinHandle<ServerStats>,
+    writer: JoinHandle<Remains>,
     workers: Vec<JoinHandle<()>>,
     reader: SliceReader,
     registry: wren_obs::Registry,
@@ -101,41 +102,56 @@ pub(crate) struct Durability {
     pub dir: PathBuf,
     /// Group-commit fsync policy.
     pub policy: FsyncPolicy,
-    /// Whether to run post-restart catch-up: ask the sibling replicas to
-    /// re-ship what died in the crashed process's inbox. `false` on a
-    /// cluster-wide cold start (nothing was lost), `true` on
-    /// [`Cluster::restart_partition`](crate::Cluster::restart_partition).
-    pub rejoin: bool,
 }
 
+/// What a joined engine leaves behind: its final statistics and, for a
+/// durable partition, the active WAL file with its fsynced length (see
+/// [`WrenServer::log_synced_prefix`]).
+pub(crate) type Remains = (ServerStats, Option<(PathBuf, u64)>);
+
 impl PartitionEngine {
-    /// Spawns the writer thread and the read workers for the partition
-    /// `id`. `read_pool` carries the receiving side of the channel the
-    /// router diverts this partition's `SliceReq`s to, plus the pool
-    /// size; `None` means the writer serves reads inline as before.
-    #[allow(clippy::too_many_arguments)] // internal: one call site per mode
-    pub(crate) fn launch(
+    /// Builds partition `id`'s state machine on the calling thread:
+    /// fresh, or — durable — recovered from its directory (checkpoint
+    /// load + WAL replay). Split from [`spawn`](Self::spawn) so a cold
+    /// start can recover *every* partition, and read the clock floor off
+    /// all of them, before the first writer loop runs.
+    pub(crate) fn recover(
         id: ServerId,
         cfg: WrenConfig,
-        epoch: Instant,
-        rx: Receiver<RtMsg>,
-        read_pool: Option<(Receiver<ReadJob>, usize)>,
-        router: Arc<Router>,
-        ticks: Ticks,
         durable: Option<Durability>,
         tx_abort_timeout: Duration,
-    ) -> PartitionEngine {
-        // Built on the spawning thread so reader handles can be taken
-        // before the state machine moves into the writer thread — and so
-        // recovery (checkpoint load + WAL replay) completes before any
-        // traffic can reach the partition.
-        let rejoin = durable.as_ref().is_some_and(|d| d.rejoin);
-        let mut server = match &durable {
+    ) -> WrenServer {
+        let mut server = match durable {
             Some(d) => WrenServer::recover(id, cfg, SkewedClock::perfect(), &d.dir, d.policy)
                 .expect("durable partition recovery"),
             None => WrenServer::new(id, cfg, SkewedClock::perfect()),
         };
         server.set_tx_abort_timeout(tx_abort_timeout.as_micros() as u64);
+        server
+    }
+
+    /// Spawns the writer thread and the read workers around `server`.
+    /// `read_pool` carries the receiving side of the channel the router
+    /// diverts this partition's `SliceReq`s to, plus the pool size;
+    /// `None` means the writer serves reads inline as before. `clock`
+    /// is the cluster's physical time, shared by every engine. `rejoin`
+    /// runs post-restart catch-up first: ask the sibling replicas to
+    /// re-ship what died in the crashed process's inbox — `false` on a
+    /// cluster-wide cold start (nothing was lost), `true` on
+    /// [`Cluster::restart_partition`](crate::Cluster::restart_partition).
+    #[allow(clippy::too_many_arguments)] // internal: one call site per mode
+    pub(crate) fn spawn(
+        id: ServerId,
+        server: WrenServer,
+        clock: SystemClock,
+        rx: Receiver<RtMsg>,
+        read_pool: Option<(Receiver<ReadJob>, usize)>,
+        router: Arc<Router>,
+        ticks: Ticks,
+        rejoin: bool,
+    ) -> PartitionEngine {
+        // Handles are taken on the spawning thread, before the state
+        // machine moves into the writer thread.
         let registry = server.registry();
         let trace = server.trace();
         let reader = server.reader();
@@ -151,8 +167,13 @@ impl PartitionEngine {
                 }));
             }
         }
-        let writer =
-            std::thread::spawn(move || server_loop(id, server, epoch, rx, router, ticks, rejoin));
+        let writer = std::thread::spawn(move || {
+            // The state machine as the loop left it — sealed after a
+            // graceful stop, mid-flight after a kill — is summed up and
+            // dropped here, on the thread that allocated it.
+            let server = server_loop(id, server, clock, rx, router, ticks, rejoin);
+            (server.stats(), server.log_synced_prefix())
+        });
         PartitionEngine {
             writer,
             workers,
@@ -180,14 +201,14 @@ impl PartitionEngine {
     /// joins: the writer may snapshot its stats while a worker is still
     /// mid-slice, so only a post-join load of the shared atomics counts
     /// every served slice.
-    pub(crate) fn join(mut self) -> ServerStats {
+    pub(crate) fn join(mut self) -> Remains {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        let mut stats = self.writer.join().unwrap_or_default();
+        let (mut stats, synced_wal) = self.writer.join().unwrap_or_default();
         stats.slices_served = self.reader.slices_served();
         stats.keys_read = self.reader.keys_read();
-        stats
+        (stats, synced_wal)
     }
 }
 
@@ -231,16 +252,23 @@ const MAX_DRAIN: usize = 64;
 /// attached, `SliceReq`s never reach this loop at all.
 ///
 /// **Durability discipline**: every `router.dispatch` is preceded by a
-/// [`WrenServer::log_commit_point`], so by the time any effect of a
-/// message burst or tick leaves this thread — a `CommitResp` to a
-/// client, a replication batch to a sibling — the WAL records behind it
-/// are flushed as far as the fsync policy promises. Under
-/// `FsyncPolicy::Always` an acknowledged write is therefore on disk
-/// before the acknowledgement exists; under `FsyncPolicy::Window` the
-/// same holds with one fsync amortized across the window — responses
-/// are *held* on this thread while the window is open and dispatched
-/// only after its fsync lands (the deadline joins the tick schedule, so
-/// a held response waits at most `max_delay`).
+/// [`WrenServer::log_commit_point`], so by the time an effect of a
+/// message burst or tick leaves this thread, the WAL records it rests
+/// on are flushed as far as the fsync policy promises. The cost follows
+/// the bytes: a burst that logged nothing — a begin, a read, a
+/// heartbeat — pays no fsync and opens no window. Under
+/// `FsyncPolicy::Always` an acknowledged write is on disk before the
+/// acknowledgement exists. Under `FsyncPolicy::Window` one fsync is
+/// amortized across the window, and while the log has unsynced bytes
+/// this thread *holds* exactly the outputs that
+/// [assert logged state](wren_core::asserts_logged_state) — votes,
+/// decisions, acknowledgements, replication, gossip, new snapshots —
+/// until the fsync lands (the deadline joins the tick schedule, so a
+/// held message waits at most `max_delay`). Everything else — slices,
+/// read replies, prepare requests, abort notices: functions of client
+/// data and snapshots already released — leaves at once, so a read
+/// never waits for a write's window. Neither a kill nor a power cut can
+/// then take back anything a peer or client was told.
 ///
 /// Shutdown comes in two shapes, mirroring the crash model:
 /// * `RtMsg::Shutdown` is graceful — the remaining inbox is drained and
@@ -254,29 +282,27 @@ const MAX_DRAIN: usize = 64;
 pub(crate) fn server_loop(
     id: ServerId,
     mut server: WrenServer,
-    epoch: Instant,
+    clock: SystemClock,
     rx: Receiver<RtMsg>,
     router: Arc<Router>,
     (repl, gossip, gc, ckpt): Ticks,
     rejoin: bool,
-) -> ServerStats {
-    let mut next_repl = epoch + repl;
-    let mut next_gossip = epoch + gossip;
-    let mut next_gc = gc.map(|d| epoch + d);
-    let mut next_ckpt = ckpt.map(|d| Instant::now() + d);
+) -> WrenServer {
+    let started = Instant::now();
+    let mut next_repl = started + repl;
+    let mut next_gossip = started + gossip;
+    let mut next_gc = gc.map(|d| started + d);
+    let mut next_ckpt = ckpt.map(|d| started + d);
     let mut out = Vec::new();
-    // Responses whose WAL records sit in an open group-commit window
-    // (`FsyncPolicy::Window`): held here until the window's fsync lands,
-    // dropped on `Kill` — which is correct, because unacknowledged is
-    // exactly what unsynced must remain.
-    let mut held = Vec::new();
+    let mut held = Held::new(&server.registry());
 
     if rejoin {
         // First thing on the wire after a restart: ask every sibling
         // replica to re-ship what was lost with the dead process's
         // inbox, before any new traffic interleaves.
-        server.begin_rejoin(epoch.elapsed().as_micros() as u64, &mut out);
-        commit_and_dispatch(id, &mut server, &router, &mut out, &mut held);
+        let now = clock.read();
+        server.begin_rejoin(now, &mut out);
+        commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now);
     }
 
     loop {
@@ -297,7 +323,7 @@ pub(crate) fn server_loop(
 
         match rx.recv_timeout(wait) {
             Ok(RtMsg::Proto { src, msg }) => {
-                let now = epoch.elapsed().as_micros() as u64;
+                let now = clock.read();
                 server.handle(src, msg, now, &mut out);
                 // Drain the burst that accumulated while we slept.
                 for _ in 1..MAX_DRAIN {
@@ -314,48 +340,47 @@ pub(crate) fn server_loop(
                             server.on_peer_link_lost(peer, now, &mut out);
                         }
                         Some(RtMsg::Shutdown) => {
-                            return finish(id, server, epoch, &rx, &router, out, held);
+                            return finish(id, server, &clock, &rx, &router, out, held);
                         }
-                        Some(RtMsg::Kill) => return server.stats(),
+                        Some(RtMsg::Kill) => return server,
                         None => break,
                     }
                 }
-                commit_and_dispatch(id, &mut server, &router, &mut out, &mut held);
+                commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now);
             }
             Ok(RtMsg::Batch { src, msgs }) => {
-                let now = epoch.elapsed().as_micros() as u64;
+                let now = clock.read();
                 for msg in msgs {
                     server.handle(src, msg, now, &mut out);
                 }
-                commit_and_dispatch(id, &mut server, &router, &mut out, &mut held);
+                commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now);
             }
             Ok(RtMsg::PeerLinkLost { peer }) => {
-                let now = epoch.elapsed().as_micros() as u64;
+                let now = clock.read();
                 server.on_peer_link_lost(peer, now, &mut out);
-                commit_and_dispatch(id, &mut server, &router, &mut out, &mut held);
+                commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now);
             }
-            Ok(RtMsg::Shutdown) => return finish(id, server, epoch, &rx, &router, out, held),
-            Ok(RtMsg::Kill) => return server.stats(),
+            Ok(RtMsg::Shutdown) => return finish(id, server, &clock, &rx, &router, out, held),
+            Ok(RtMsg::Kill) | Err(RecvTimeoutError::Disconnected) => return server,
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return server.stats(),
         }
 
         let now_inst = Instant::now();
-        let now = epoch.elapsed().as_micros() as u64;
+        let now = clock.read();
         if now_inst >= next_repl {
             server.on_replication_tick(now, &mut out);
-            commit_and_dispatch(id, &mut server, &router, &mut out, &mut held);
+            commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now);
             next_repl = now_inst + repl;
         }
         if now_inst >= next_gossip {
             server.on_gossip_tick(now, &mut out);
-            commit_and_dispatch(id, &mut server, &router, &mut out, &mut held);
+            commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now);
             next_gossip = now_inst + gossip;
         }
         if let Some(g) = next_gc {
             if now_inst >= g {
                 server.on_gc_tick(now, &mut out);
-                commit_and_dispatch(id, &mut server, &router, &mut out, &mut held);
+                commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now);
                 next_gc = Some(now_inst + gc.expect("gc enabled"));
             }
         }
@@ -368,40 +393,104 @@ pub(crate) fn server_loop(
             }
         }
         if server.log_sync_deadline().is_some_and(|d| now_inst >= d) {
-            // The group-commit window expired: fsync now and release
-            // every response that was waiting on it.
+            // The group-commit window expired: fsync now.
             server.sync_log().expect("wal window sync failed");
-            router.dispatch(id, std::mem::take(&mut held));
+        }
+        if server.log_sync_deadline().is_none() {
+            // Nothing unsynced — the deadline fsync above, or a
+            // checkpoint rotation, which seals the old generation — so
+            // nothing held has anything left to wait for. And it must
+            // not wait for the next burst: a kill landing first would
+            // drop a held `Replicate` whose `Applied` record is already
+            // durable, and nothing re-ships an applied transaction.
+            held.release(id, &router, &clock);
         }
     }
 }
 
-/// Flush the WAL to the fsync policy's promise, then let the responses
-/// leave the thread. The order is the whole point: dispatch is the
-/// moment effects become observable, so the flush must come first.
+/// Outputs whose truth rests on WAL records in an open group-commit
+/// window (`FsyncPolicy::Window`): held here until the window's fsync
+/// lands, dropped on `Kill` — which is correct, because unsaid is
+/// exactly what unsynced must remain. Carries the two series that make
+/// the wait visible from outside: `engine_held_wait_micros` (first hold
+/// to release, one sample per released batch) and `engine_held_msgs`
+/// (how many are waiting now).
+struct Held {
+    msgs: Vec<Outgoing<WrenMsg>>,
+    /// Engine time of the burst that held the oldest message.
+    since: u64,
+    wait_micros: wren_obs::Histogram,
+    depth: wren_obs::Gauge,
+}
+
+impl Held {
+    fn new(registry: &wren_obs::Registry) -> Held {
+        Held {
+            msgs: Vec::new(),
+            since: 0,
+            wait_micros: registry.histogram("engine_held_wait_micros"),
+            depth: registry.gauge("engine_held_msgs"),
+        }
+    }
+
+    /// Dispatches everything held, oldest first. Reads the clock once
+    /// per released batch and not at all when nothing was held.
+    fn release(&mut self, id: ServerId, router: &Router, clock: &SystemClock) {
+        if self.msgs.is_empty() {
+            return;
+        }
+        self.wait_micros
+            .record(clock.read().saturating_sub(self.since));
+        self.depth.set(0);
+        router.dispatch(id, self.msgs.drain(..));
+    }
+}
+
+/// Flush the WAL to the fsync policy's promise, then let the burst's
+/// outputs leave the thread. The order is the whole point: dispatch is
+/// the moment effects become observable, so the flush must come first.
 ///
-/// Under `FsyncPolicy::Window` the commit point may leave an fsync
-/// *pending* (deadline open): the burst's responses then move to `held`
-/// instead of dispatching — they leave when the window closes, either
-/// because a later commit point crosses the byte threshold (the
-/// deadline reads `None` here and everything held goes out, oldest
-/// first) or because the engine's tick loop fires the deadline.
+/// Under `FsyncPolicy::Window` the log may be left with unsynced bytes
+/// (deadline open). The outputs that
+/// [assert logged state](asserts_logged_state) then move to `held`;
+/// the rest leave at once. Order is kept within each class; a free
+/// message may overtake a held one to the same peer, which the protocol
+/// tolerates already — two coordinators produce that interleaving
+/// today. The held ones leave when the window closes: because a later
+/// commit point crosses the byte threshold (the deadline reads `None`
+/// here and they go out ahead of this burst), or because the engine's
+/// tick loop fires the deadline. `now` is the burst's engine time.
 fn commit_and_dispatch(
     id: ServerId,
     server: &mut WrenServer,
-    router: &Arc<Router>,
+    router: &Router,
+    clock: &SystemClock,
     out: &mut Vec<Outgoing<WrenMsg>>,
-    held: &mut Vec<Outgoing<WrenMsg>>,
+    held: &mut Held,
+    now: u64,
 ) {
     server.log_commit_point().expect("wal commit point failed");
-    if server.log_sync_deadline().is_some() {
-        held.append(out);
-    } else if held.is_empty() {
-        router.dispatch(id, std::mem::take(out));
-    } else {
-        held.append(out);
-        router.dispatch(id, std::mem::take(held));
+    if server.log_sync_deadline().is_none() {
+        held.release(id, router, clock);
+        router.dispatch(id, out.drain(..));
+        return;
     }
+    if held.msgs.is_empty() {
+        held.since = now;
+    }
+    let waiting = &mut held.msgs;
+    router.dispatch(
+        id,
+        out.drain(..).filter_map(|o| {
+            if asserts_logged_state(&o.msg) {
+                waiting.push(o);
+                None
+            } else {
+                Some(o)
+            }
+        }),
+    );
+    held.depth.set(held.msgs.len() as u64);
 }
 
 /// Graceful shutdown: handle everything still queued behind the poison
@@ -414,13 +503,13 @@ fn commit_and_dispatch(
 fn finish(
     id: ServerId,
     mut server: WrenServer,
-    epoch: Instant,
+    clock: &SystemClock,
     rx: &Receiver<RtMsg>,
-    router: &Arc<Router>,
+    router: &Router,
     mut out: Vec<Outgoing<WrenMsg>>,
-    mut held: Vec<Outgoing<WrenMsg>>,
-) -> ServerStats {
-    let now = epoch.elapsed().as_micros() as u64;
+    mut held: Held,
+) -> WrenServer {
+    let now = clock.read();
     while let Some(m) = rx.try_recv() {
         match m {
             RtMsg::Proto { src, msg } => server.handle(src, msg, now, &mut out),
@@ -431,12 +520,12 @@ fn finish(
             }
             RtMsg::PeerLinkLost { peer } => server.on_peer_link_lost(peer, now, &mut out),
             RtMsg::Shutdown => {}
-            RtMsg::Kill => return server.stats(),
+            RtMsg::Kill => return server,
         }
     }
     server.log_commit_point().expect("wal commit point failed");
     server.seal_log().expect("wal seal failed");
-    held.append(&mut out);
-    router.dispatch(id, held);
-    server.stats()
+    held.release(id, router, clock);
+    router.dispatch(id, out);
+    server
 }

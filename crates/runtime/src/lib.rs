@@ -30,13 +30,17 @@
 //! * [`ClusterBuilder::durable`] — per-partition write-ahead logging
 //!   and checkpoints: each engine logs its commits, replication applies
 //!   and stable-bound advances (group-committed per
-//!   [`FsyncPolicy`](ClusterBuilder::fsync) before any response leaves
-//!   the partition), rotates the log behind periodic checkpoints, and
-//!   recovers on boot by replaying the newest checkpoint + log tail.
-//!   [`Cluster::kill_partition`] / [`Cluster::restart_partition`]
-//!   exercise the crash path end to end: an abrupt kill loses exactly
-//!   what the fsync policy permits, and a restarted partition catches
-//!   up from its sibling replicas before serving as if it never left.
+//!   [`FsyncPolicy`](ClusterBuilder::fsync) before any message that
+//!   asserts them leaves the partition — and only those: a read never
+//!   waits for a write's fsync window), rotates the log behind periodic
+//!   checkpoints, and recovers on boot by replaying the newest
+//!   checkpoint + log tail. [`Cluster::kill_partition`] (process kill:
+//!   the page cache survives) and [`Cluster::power_cut_partition`]
+//!   (only fsynced bytes survive) with [`Cluster::restart_partition`]
+//!   exercise the crash path end to end: a crash loses exactly what the
+//!   fsync policy permits, nothing a client or peer was told, and a
+//!   restarted partition catches up from its sibling replicas before
+//!   serving as if it never left.
 //!   Over TCP the kill is real: the victim's listener closes and every
 //!   one of its sockets is torn down, peers park the dead link behind
 //!   jittered exponential backoff and re-dial on demand, and sessions

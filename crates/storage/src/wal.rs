@@ -22,11 +22,13 @@
 //! accumulate in a user-space buffer and a commit point makes them
 //! durable according to the [`FsyncPolicy`] — every point
 //! (`Always`), every nth point (`EveryN`), within a time/byte window
-//! (`Window`), or only at [`Wal::seal`] (`Off`). Under `Window` the
-//! bytes go to the OS at each commit point but the fsync is *deferred*:
-//! the caller holds the acknowledgements, polls
-//! [`Wal::sync_deadline`], and closes the window with
-//! [`Wal::sync_now`] — one fsync amortized across every commit point
+//! (`Window`), or only at [`Wal::seal`] (`Off`). Only a commit point
+//! that carries bytes counts: one with nothing appended since the last
+//! is a no-op under every policy. Under `Window` the bytes go to the OS
+//! at each commit point but the fsync is *deferred*: the caller holds
+//! whatever asserts those bytes, polls [`Wal::sync_deadline`] — `Some`
+//! exactly while unsynced bytes exist — and closes the window with
+//! [`Wal::sync_now`]: one fsync amortized across every commit point
 //! the window collected (the count lands in the `group_commit_size`
 //! histogram, see [`Wal::instrument`]). Dropping a `Wal` without
 //! sealing deliberately does **not** flush: that is exactly the
@@ -66,11 +68,13 @@ pub enum FsyncPolicy {
     /// the OS immediately, but the fsync is deferred until either
     /// `max_bytes` of unsynced records accumulate or `max_delay` passes
     /// since the first unsynced commit point — whichever comes first.
-    /// The *caller* closes the time edge: it polls
-    /// [`Wal::sync_deadline`] and calls [`Wal::sync_now`] when the
-    /// deadline fires, holding acknowledgements until then. Nothing
-    /// acknowledged after a sync is lost to a kill, because nothing is
-    /// acknowledged before its sync.
+    /// A window opens only when a commit point carries bytes, so an
+    /// idle log has no window and no deadline. The *caller* closes the
+    /// time edge: it polls [`Wal::sync_deadline`] and calls
+    /// [`Wal::sync_now`] when the deadline fires, and until then holds
+    /// back whatever it would say on the strength of the unsynced
+    /// records — and nothing else. Nothing so held is lost to a kill or
+    /// a power cut, because nothing escapes before its sync.
     Window {
         /// Longest a commit point may wait for its fsync.
         max_delay: Duration,
@@ -89,6 +93,10 @@ pub struct Wal {
     policy: FsyncPolicy,
     /// Records appended but not yet handed to the OS.
     buf: Vec<u8>,
+    /// Whether anything was appended since the last commit point (an
+    /// empty commit point is a no-op; `buf` cannot tell, because
+    /// `EveryN` and `Off` keep earlier points' bytes buffered).
+    appended: bool,
     /// Commit points since the last flush (for [`FsyncPolicy::EveryN`]).
     points: u32,
     /// Commit points folded into the next fsync, across every policy —
@@ -149,6 +157,7 @@ impl Wal {
             path,
             policy,
             buf: Vec::new(),
+            appended: false,
             points: 0,
             points_since_sync: 0,
             written_len: 0,
@@ -187,6 +196,7 @@ impl Wal {
                 path,
                 policy,
                 buf: Vec::new(),
+                appended: false,
                 points: 0,
                 points_since_sync: 0,
                 written_len: synced_len,
@@ -214,6 +224,7 @@ impl Wal {
         self.buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
         self.buf.extend_from_slice(payload);
+        self.appended = true;
         if let Some(h) = &self.append_bytes {
             h.record(payload.len() as u64);
         }
@@ -222,9 +233,9 @@ impl Wal {
     /// Attaches latency/size instrumentation: `fsync_micros` records
     /// each synchronous flush (write + fsync) in microseconds,
     /// `append_bytes` each appended record's payload size, and
-    /// `group_commit_size` how many commit points each fsync made
-    /// durable at once (1 under `Always`, `n` under `EveryN`, variable
-    /// under `Window`). Recording is lock-free and uninstrumented logs
+    /// `group_commit_size` how many commit points — those that carried
+    /// bytes; empty ones are no-ops — each fsync made durable at once
+    /// (1 under `Always`, `n` under `EveryN`, variable under `Window`). Recording is lock-free and uninstrumented logs
     /// pay one `Option` branch.
     pub fn instrument(
         &mut self,
@@ -239,7 +250,20 @@ impl Wal {
 
     /// Marks a commit point: everything appended so far is eligible to
     /// become durable, per the fsync policy.
+    ///
+    /// A commit point with **nothing appended since the previous one is
+    /// not a commit point**: it returns at once under every policy — no
+    /// fsync of an unchanged file under `Always`, no window opened under
+    /// `Window`, no step toward `EveryN`'s nth point, nothing counted
+    /// into the next `group_commit_size` sample. Callers mark a point
+    /// after every burst of work whether or not the burst logged
+    /// anything (the engine's reads, heartbeats and begin replies log
+    /// nothing), so the cost and the wait must follow the bytes, not
+    /// the calls.
     pub fn commit_point(&mut self) -> std::io::Result<()> {
+        if !std::mem::take(&mut self.appended) {
+            return Ok(());
+        }
         self.points_since_sync += 1;
         match self.policy {
             FsyncPolicy::Always => self.flush(true),
@@ -281,8 +305,9 @@ impl Wal {
     }
 
     /// When the open group-commit window must be closed with
-    /// [`Wal::sync_now`] (only under [`FsyncPolicy::Window`]). `None`
-    /// when every acknowledged-to-be-committed byte is already synced.
+    /// [`Wal::sync_now`] (only under [`FsyncPolicy::Window`]). `Some`
+    /// exactly while bytes written at a commit point await their fsync;
+    /// `None` when everything committed so far is synced.
     pub fn sync_deadline(&self) -> Option<Instant> {
         match self.policy {
             FsyncPolicy::Window { max_delay, .. } => {
@@ -332,6 +357,7 @@ impl Wal {
         // commit point) does not silently stretch the group.
         self.flush(true)?;
         self.points = 0;
+        self.appended = false;
         Ok(())
     }
 
@@ -541,6 +567,110 @@ mod tests {
         assert_eq!(wal.unsynced_len(), 0);
         let log = read_records(&path).unwrap();
         assert_eq!(log.records, vec![b"held".to_vec()]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A log with all three instruments attached; returns the fsync and
+    /// group-size histograms.
+    fn instrumented(
+        name: &str,
+        policy: FsyncPolicy,
+    ) -> (PathBuf, Wal, wren_obs::Histogram, wren_obs::Histogram) {
+        let path = tmp(name);
+        let mut wal = Wal::create(&path, policy).unwrap();
+        let (fsyncs, groups) = (
+            wren_obs::Histogram::default(),
+            wren_obs::Histogram::default(),
+        );
+        wal.instrument(
+            fsyncs.clone(),
+            wren_obs::Histogram::default(),
+            groups.clone(),
+        );
+        (path, wal, fsyncs, groups)
+    }
+
+    #[test]
+    fn always_skips_fsync_when_nothing_appended() {
+        let (path, mut wal, fsyncs, groups) = instrumented("always-idle", FsyncPolicy::Always);
+        wal.commit_point().unwrap();
+        assert_eq!(fsyncs.count(), 0, "an empty log has nothing to fsync");
+        wal.append(b"x");
+        wal.commit_point().unwrap();
+        assert_eq!(fsyncs.count(), 1);
+        for _ in 0..5 {
+            wal.commit_point().unwrap();
+        }
+        assert_eq!(
+            fsyncs.count(),
+            1,
+            "idle commit points must not fsync an unchanged file"
+        );
+        assert_eq!(groups.count(), 1);
+        assert_eq!(wal.synced_len(), 9);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn window_not_opened_by_empty_commit_point() {
+        let policy = FsyncPolicy::Window {
+            max_delay: Duration::from_millis(5),
+            max_bytes: usize::MAX,
+        };
+        let (path, mut wal, fsyncs, groups) = instrumented("window-idle", policy);
+        wal.commit_point().unwrap();
+        assert!(
+            wal.sync_deadline().is_none(),
+            "nothing unsynced: no window, no deadline"
+        );
+        wal.append(b"held");
+        wal.commit_point().unwrap();
+        let deadline = wal.sync_deadline().expect("bytes opened a window");
+        // Empty points neither move the open window's deadline nor join
+        // its group.
+        wal.commit_point().unwrap();
+        assert_eq!(wal.sync_deadline(), Some(deadline));
+        wal.sync_now().unwrap();
+        assert!(wal.sync_deadline().is_none());
+        wal.commit_point().unwrap();
+        assert!(
+            wal.sync_deadline().is_none(),
+            "synced log: an empty point opens nothing"
+        );
+        assert_eq!(fsyncs.count(), 1);
+        let snap = groups.snapshot();
+        assert_eq!(
+            (snap.count, snap.sum),
+            (1, 1),
+            "one fsync covering the one real point"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn empty_points_do_not_count_toward_every_n_or_group_size() {
+        let (path, mut wal, fsyncs, groups) = instrumented("every-n-idle", FsyncPolicy::EveryN(3));
+        for i in 0..3u8 {
+            wal.append(&[i]);
+            wal.commit_point().unwrap();
+            // Two idle points after each real one: under the old
+            // counting the group would have closed after the first
+            // record.
+            wal.commit_point().unwrap();
+            wal.commit_point().unwrap();
+            assert_eq!(
+                fsyncs.count(),
+                u64::from(i == 2),
+                "only the 3rd real point syncs"
+            );
+        }
+        assert_eq!(wal.synced_len(), 27);
+        let snap = groups.snapshot();
+        assert_eq!(
+            (snap.count, snap.sum),
+            (1, 3),
+            "the group is the three points with bytes"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -155,17 +155,21 @@ proptest! {
 
     /// Power-cut oracle for the group-commit policies: append one
     /// record per commit point under `EveryN(n)` or
-    /// `Window { max_bytes }`, then emulate the cut by truncating the
-    /// file to `synced_len` (an abrupt *process* kill keeps OS-buffered
-    /// bytes; losing power does not — only the fsynced prefix
-    /// survives). Recovery must yield exactly the records the policy
-    /// promised were durable: the commit points up to the last
-    /// policy-triggered fsync, computed independently here, and
-    /// `synced_len` must land on precisely that record boundary.
+    /// `Window { max_bytes }` — interleaved with **empty commit points**
+    /// (nothing appended since the last one: no-ops that must neither
+    /// sync, nor count toward `n`, nor open a window) and explicit
+    /// `sync_now` calls (the window's deadline edge) — then emulate the
+    /// cut by truncating the file to `synced_len` (an abrupt *process*
+    /// kill keeps OS-buffered bytes; losing power does not — only the
+    /// fsynced prefix survives). Recovery must yield exactly the records
+    /// the policy promised were durable: the commit points up to the
+    /// last fsync, computed independently here, and `synced_len` must
+    /// land on precisely that record boundary.
     #[test]
     fn power_cut_preserves_exactly_the_fsynced_prefix(
-        (payloads, pick, n, max_bytes) in (
+        (payloads, extras, pick, n, max_bytes) in (
             arb_payloads(),
+            proptest::collection::vec(0u8..4, 12),
             any::<bool>(),
             2u32..5,
             16usize..128,
@@ -186,6 +190,9 @@ proptest! {
         let mut pending = 0usize; // commit points since it (EveryN)
         let mut unsynced = 0usize; // bytes since it (Window)
         for (i, p) in payloads.iter().enumerate() {
+            if extras[i] == 1 {
+                wal.commit_point().unwrap(); // empty: the model does not move
+            }
             wal.append(p);
             wal.commit_point().unwrap();
             match policy {
@@ -205,6 +212,22 @@ proptest! {
                 }
                 _ => unreachable!(),
             }
+            match extras[i] {
+                2 => wal.commit_point().unwrap(), // empty again
+                3 => {
+                    // The deadline edge: everything so far is synced and
+                    // the window closes; `EveryN` keeps counting points.
+                    wal.sync_now().unwrap();
+                    unsynced = 0;
+                    durable = i + 1;
+                }
+                _ => {}
+            }
+            prop_assert_eq!(
+                wal.sync_deadline().is_some(),
+                !pick && unsynced > 0,
+                "a deadline exists exactly while a window holds unsynced bytes"
+            );
         }
         let synced = wal.synced_len();
         prop_assert_eq!(

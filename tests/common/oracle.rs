@@ -17,11 +17,19 @@ use wren::protocol::Key;
 /// exactly what [`marker`](super::marker) encodes into written values.
 pub type Marker = (u32, u32);
 
+/// LWW order key of a transaction's writes: `(ct, dc, tie-break)`. The
+/// store breaks `(ct, dc)` ties by `TxId::raw`, which a test that reads
+/// the stores can supply; [`SessionOracle::record_commit`] uses the
+/// client id, which only matters where two transactions of one DC can
+/// share a commit timestamp (hybrid clocks running on their logical
+/// counter — never under the wall-clock-driven drivers).
+pub type Order = (Timestamp, u8, u64);
+
 /// Oracle record for one committed transaction.
 #[derive(Debug, Clone)]
 pub struct TxRecord {
-    /// LWW order key of this transaction's writes: (ct, dc, client-id).
-    pub order: (Timestamp, u8, u32),
+    /// LWW order key of this transaction's writes.
+    pub order: Order,
     /// Keys written.
     pub writes: Vec<Key>,
     /// Direct causal dependencies (other committed markers).
@@ -126,7 +134,7 @@ pub struct SessionOracle {
     pub observed: Vec<Marker>,
     /// Per key: the newest order key this session has ever observed
     /// (monotonic reads check).
-    pub high_water: HashMap<Key, (Timestamp, u8, u32)>,
+    pub high_water: HashMap<Key, Order>,
     /// Per key: this session's own latest write (read-your-writes check).
     pub own_writes: HashMap<Key, Marker>,
     /// Next sequence number for this session's markers.
@@ -206,7 +214,7 @@ impl SessionOracle {
         oracle.txs.insert(
             me,
             TxRecord {
-                order: (ct, dc, me.0),
+                order: (ct, dc, u64::from(me.0)),
                 writes,
                 deps,
             },

@@ -346,3 +346,91 @@ fn graceful_stop_then_cold_start_serves_everything() {
     cluster.stop();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Commits `value` to `key` — one key, so one partition — and polls
+/// read-only transactions from a second session until they return it.
+/// How long the write stayed invisible after its acknowledgement.
+fn visibility_lag(cluster: &Cluster, key: Key, value: u64) -> Duration {
+    let mut writer = cluster.session(0);
+    let mut reader = cluster.session(0);
+    writer.begin().unwrap();
+    writer.write(key, bval(value));
+    writer.commit().unwrap();
+    let acked = Instant::now();
+    loop {
+        reader.begin().unwrap();
+        let got = reader.read_one(key).unwrap();
+        reader.commit().unwrap();
+        if got == Some(bval(value)) {
+            return acked.elapsed();
+        }
+        assert!(
+            acked.elapsed() < Duration::from_secs(10),
+            "{key:?} = {value} never became visible; last read {got:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A durable directory that holds nothing has no previous life to order
+/// after: recovery must not push the hybrid clock a second ahead of the
+/// cluster's physical time, or a write that does not touch every
+/// partition waits that second out before any other session can see it
+/// (the untouched partition's version clock only follows physical time).
+#[test]
+fn fresh_durable_cluster_does_not_start_in_the_future() {
+    let root = tmp_root("fresh-clock");
+    let cluster = ClusterBuilder::new()
+        .dcs(1)
+        .partitions(2)
+        .durable(&root)
+        .build();
+    let lag = visibility_lag(&cluster, Key(0), 1);
+    assert!(
+        lag < Duration::from_millis(100),
+        "a single-partition write on a fresh durable cluster took {lag:?} to become visible"
+    );
+    cluster.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A cluster rebuilt on a used directory must start physical time at or
+/// above every timestamp its partitions recovered. Restarting it at zero
+/// under the recovered hybrid clocks hides every new single-partition
+/// write for as long as the previous life ran (plus recovery's margin).
+#[test]
+fn reopened_cluster_does_not_hide_new_writes() {
+    let root = tmp_root("reopen-clock");
+    let build = || {
+        ClusterBuilder::new()
+            .dcs(1)
+            .partitions(2)
+            .durable(&root)
+            .build()
+    };
+    {
+        let cluster = build();
+        let lived = Instant::now();
+        let mut oracle = HashMap::new();
+        let mut w = cluster.session(0);
+        while lived.elapsed() < Duration::from_millis(350) {
+            put(
+                &mut w,
+                &mut oracle,
+                Key(7),
+                lived.elapsed().as_micros() as u64,
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(w);
+        cluster.stop();
+    }
+    let cluster = build();
+    let lag = visibility_lag(&cluster, Key(0), 2);
+    assert!(
+        lag < Duration::from_millis(100),
+        "a new write on the reopened cluster took {lag:?} to become visible"
+    );
+    cluster.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}

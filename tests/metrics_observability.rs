@@ -128,6 +128,14 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
     assert_eq!(snap.counter("tcp_dropped_frames"), 0, "healthy run dropped frames");
     assert!(snap.counter("slices_served") > 0, "no slices served");
     assert!(snap.counter("keys_read") > 0, "no keys read");
+    // `Always` syncs at the commit point itself: nothing ever waits in
+    // the engines' hold set (the Window twin of this is below).
+    assert_eq!(
+        snap.histogram("engine_held_wait_micros")
+            .map_or(0, |h| h.count),
+        0,
+        "a message was held under FsyncPolicy::Always"
+    );
 
     // The snapshot diffs cleanly: the delta is exactly what moved
     // between the two snapshots (gossip frames were already flowing
@@ -156,6 +164,52 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
         assert!(page.contains(needle), "exposition page lacks {needle:?}:\n{page}");
     }
 
+    cluster.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The held-ack wait is a series: under `FsyncPolicy::Window` the
+/// engines hold what asserts unsynced log state until the window's
+/// fsync, and the merged snapshot says for how long
+/// (`engine_held_wait_micros`, one sample per released batch) and how
+/// many are waiting (`engine_held_msgs`).
+#[test]
+fn held_ack_wait_is_recorded_under_window() {
+    let root = tmp_root("held");
+    let max_delay = Duration::from_millis(2);
+    let cluster = ClusterBuilder::new()
+        .dcs(2)
+        .partitions(2)
+        .tcp()
+        .durable(&root)
+        .fsync(FsyncPolicy::Window {
+            max_delay,
+            max_bytes: 1 << 20,
+        })
+        .replication_tick(Duration::from_millis(1))
+        .gossip_tick(Duration::from_millis(2))
+        .build();
+    drive(&cluster);
+    let snap = cluster.metrics();
+    let held = snap
+        .histogram("engine_held_wait_micros")
+        .expect("engine_held_wait_micros missing from the merged snapshot");
+    assert!(
+        held.count > 0,
+        "commits under Window released no held batch"
+    );
+    // A batch waits for its window, not for a pile of them: the median
+    // stays within a few `max_delay`s even on a busy test machine.
+    assert!(
+        held.p50() < 10 * max_delay.as_micros() as u64,
+        "median hold {} us under a {max_delay:?} window",
+        held.p50()
+    );
+    assert!(
+        snap.gauges.contains_key("engine_held_msgs"),
+        "held-message gauge missing: {:?}",
+        snap.gauges.keys()
+    );
     cluster.stop();
     let _ = std::fs::remove_dir_all(&root);
 }
