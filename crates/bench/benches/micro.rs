@@ -337,6 +337,56 @@ fn bench_replicate_apply(c: &mut Criterion) {
     });
 }
 
+/// Keys in the store-scale benches: one partition's share of the
+/// benchmark's `chan_paper` workload.
+const SCALE_KEYS: u64 = 100_000;
+
+/// The two store costs that follow the key count rather than the
+/// traffic: loading a partition, and a GC tick over a store in which
+/// few keys were written since the last one.
+fn bench_store_scale(c: &mut Criterion) {
+    // 100 000 fresh keys, one version each (what `setup_s` times, and
+    // what a restart replays). Dropping the store is off the clock.
+    c.bench_function("store_preload_100k", |b| {
+        b.iter_batched(
+            ConcurrentShardedStore::<Key, WrenVersion>::new,
+            |store| {
+                for k in 0..SCALE_KEYS {
+                    store.insert(Key(k), sample_version(1));
+                }
+                store
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // One GC pass over 100 000 keys of which 1 % hold two versions: it
+    // drops 1 000 versions and leaves every key single-version again.
+    // The setup (off the clock) overwrites the same 1 000 keys anew, so
+    // every timed pass sees the same store.
+    c.bench_function("store_gc_sparse_100k", |b| {
+        let store: ConcurrentShardedStore<Key, WrenVersion> = ConcurrentShardedStore::new();
+        for k in 0..SCALE_KEYS {
+            store.insert(Key(k), sample_version(1));
+        }
+        let mut ct = 1;
+        b.iter_batched(
+            || {
+                ct += 1;
+                for k in (0..SCALE_KEYS).step_by(100) {
+                    store.insert(Key(k), sample_version(ct));
+                }
+            },
+            |()| {
+                let removed = store.collect(&SnapshotBound::all());
+                assert_eq!(removed as u64, SCALE_KEYS / 100);
+                removed
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+
 fn bench_codec(c: &mut Criterion) {
     let msg = WrenMsg::SliceResp {
         tx: TxId::new(ServerId::new(0, 3), 77),
@@ -722,6 +772,7 @@ criterion_group!(
     bench_sharded_store,
     bench_parallel_reads,
     bench_replicate_apply,
+    bench_store_scale,
     bench_codec,
     bench_transport,
     bench_workload,

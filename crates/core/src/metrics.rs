@@ -131,6 +131,20 @@ pub struct ServerMetrics {
     pub slices_served: Counter,
     /// Individual keys read.
     pub keys_read: Counter,
+    /// GC tick duration in µs (gossip bookkeeping + the store's pass
+    /// over its multi-version chains), one sample per tick.
+    pub gc_tick_micros: Histogram,
+    /// Versions removed by garbage collection.
+    pub gc_versions_removed: Counter,
+    /// `StoreStats::keys` as of the last GC tick.
+    pub store_keys: Gauge,
+    /// `StoreStats::versions` as of the last GC tick.
+    pub store_versions: Gauge,
+    /// `StoreStats::multi_version_chains` as of the last GC tick (after
+    /// its pass: the chains GC could not bring back to one version).
+    pub store_multi_version_chains: Gauge,
+    /// `StoreStats::heap_bytes` as of the last GC tick.
+    pub store_heap_bytes: Gauge,
 }
 
 impl ServerMetrics {
@@ -155,6 +169,12 @@ impl ServerMetrics {
             tx_aborts_indoubt: registry.counter("tx_aborts_indoubt"),
             slices_served: registry.counter("slices_served"),
             keys_read: registry.counter("keys_read"),
+            gc_tick_micros: registry.histogram("gc_tick_micros"),
+            gc_versions_removed: registry.counter("gc_versions_removed"),
+            store_keys: registry.gauge("store_keys"),
+            store_versions: registry.gauge("store_versions"),
+            store_multi_version_chains: registry.gauge("store_multi_version_chains"),
+            store_heap_bytes: registry.gauge("store_heap_bytes"),
             registry,
         }
     }

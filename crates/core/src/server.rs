@@ -1232,10 +1232,31 @@ impl WrenServer {
 
     /// GC tick: broadcast the oldest snapshot visible to a transaction
     /// running here, then prune version chains below the DC-wide minimum
-    /// (§IV-B "Garbage collection").
+    /// (§IV-B "Garbage collection"), and publish what the tick took and
+    /// what the store holds after it (`gc_tick_micros`,
+    /// `gc_versions_removed`, the `store_*` gauges).
     ///
     /// Returns the number of versions collected.
     pub fn on_gc_tick(&mut self, _now_micros: u64, out: &mut Vec<Outgoing<WrenMsg>>) -> usize {
+        let started = std::time::Instant::now();
+        let removed = self.gossip_and_collect(out);
+        self.stats.gc_versions_removed += removed as u64;
+        self.metrics.gc_versions_removed.add(removed as u64);
+        let store = self.store.stats();
+        self.metrics.store_keys.set(store.keys as u64);
+        self.metrics.store_versions.set(store.versions as u64);
+        self.metrics
+            .store_multi_version_chains
+            .set(store.multi_version_chains as u64);
+        self.metrics.store_heap_bytes.set(store.heap_bytes as u64);
+        self.metrics
+            .gc_tick_micros
+            .record(started.elapsed().as_micros() as u64);
+        removed
+    }
+
+    /// The protocol half of the GC tick; returns the versions removed.
+    fn gossip_and_collect(&mut self, out: &mut Vec<Outgoing<WrenMsg>>) -> usize {
         // Oldest active snapshot, or the current visible snapshot if idle.
         let (lst, rst) = self.store.stable();
         let (mut oldest_lt, mut oldest_rt) = (lst, rst.min(lst.predecessor()));
@@ -1269,10 +1290,8 @@ impl WrenServer {
         if w_lt.is_zero() && w_rt.is_zero() {
             return 0;
         }
-        let oldest = SnapshotBound::bist(self.id.dc.0, w_lt, w_rt);
-        let removed = self.store.collect(&oldest);
-        self.stats.gc_versions_removed += removed as u64;
-        removed
+        self.store
+            .collect(&SnapshotBound::bist(self.id.dc.0, w_lt, w_rt))
     }
 
     // ------------------------------------------------------------------

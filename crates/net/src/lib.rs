@@ -26,8 +26,8 @@
 //!   The reactor's loop body is pluggable: readiness-driven epoll
 //!   (poll.rs: epoll_wait, then read/writev per ready fd) or
 //!   completion-driven io_uring (uring.rs: multishot accepts,
-//!   provided-buffer recvs and linked send chains resident in the
-//!   kernel, one io_uring_enter per batch). Selected per Reactor via
+//!   provided-buffer recvs and one vectored sendmsg per connection's
+//!   batch, one io_uring_enter per loop turn). Selected per Reactor via
 //!   [`ReactorOptions`]; [`uring::available`] probes the kernel at
 //!   runtime and anything missing falls back to epoll silently.
 //! ```

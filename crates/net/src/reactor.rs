@@ -44,7 +44,7 @@
 //! [`Backend::Epoll`] waits on a level-triggered [`Poller`] and pays
 //! one syscall per readiness event per fd; [`Backend::Uring`]
 //! ([`crate::uring`]) keeps multishot-accept, buffered-recv and
-//! linked-send submissions resident in kernel rings and pays one
+//! vectored-send submissions resident in kernel rings and pays one
 //! `io_uring_enter` per *batch* of completions. A request for
 //! `Uring` on a kernel (or container seccomp policy) that cannot
 //! serve it degrades to `Epoll` at [`Reactor::with_options`] time;
@@ -58,7 +58,7 @@ use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use wren_protocol::frame::FrameDecoder;
@@ -427,7 +427,49 @@ pub struct ReactorOptions {
 pub struct Reactor<H: ReactorHandler> {
     shared: Arc<Shared<H>>,
     backend: Backend,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    threads: Mutex<Vec<LoopThread>>,
+}
+
+/// One event-loop thread with a fixed place in its owner's thread
+/// lifecycle: it is running before [`Reactor::with_options`] returns
+/// (`up`), and after [`Reactor::shutdown`] it finishes its sweep and
+/// then waits for [`Reactor::join`] (or the pool's drop) to let go of
+/// `may_exit` before the thread itself ends.
+///
+/// That lets an owner with several kinds of threads start them kind by
+/// kind and end them in the reverse order, each kind gone before the
+/// next may go. The order matters to memory, not to correctness: an
+/// allocator with per-thread arenas (glibc) hands a new thread the arena
+/// of the thread that exited last, so a pool restarted in a process gets
+/// back the arenas its predecessor warmed only if both sides keep the
+/// order; when exits race, an event loop's freed buffers end up under a
+/// thread that never needs them, and every restart strands a little
+/// more.
+struct LoopThread {
+    may_exit: mpsc::Sender<()>,
+    handle: JoinHandle<()>,
+}
+
+impl LoopThread {
+    fn spawn(name: String, up: &Arc<Barrier>, run: impl FnOnce() + Send + 'static) -> LoopThread {
+        let up = Arc::clone(up);
+        let (may_exit, exit) = mpsc::channel::<()>();
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || {
+                up.wait();
+                run();
+                // Nothing is ever sent: this returns when the sender goes.
+                let _ = exit.recv();
+            })
+            .expect("spawn reactor thread");
+        LoopThread { may_exit, handle }
+    }
+
+    fn join(self) {
+        drop(self.may_exit);
+        let _ = self.handle.join();
+    }
 }
 
 impl<H: ReactorHandler> Reactor<H> {
@@ -509,35 +551,37 @@ impl<H: ReactorHandler> Reactor<H> {
             next_thread: AtomicUsize::new(0),
             metrics: opts.metrics,
         });
-        let mut handles = Vec::with_capacity(n);
+        // Every loop is running when this returns, and none ends its
+        // thread before `join` lets it: see `LoopThread`.
+        let up = Arc::new(Barrier::new(n + 1));
+        let mut threads = Vec::with_capacity(n);
         match backend {
             Backend::Epoll => {
                 for (i, poller) in pollers.into_iter().enumerate() {
                     let shared = Arc::clone(&shared);
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("wren-reactor-{i}"))
-                            .spawn(move || reactor_loop(shared, i, poller))
-                            .expect("spawn reactor thread"),
-                    );
+                    threads.push(LoopThread::spawn(
+                        format!("wren-reactor-{i}"),
+                        &up,
+                        move || reactor_loop(shared, i, poller),
+                    ));
                 }
             }
             Backend::Uring => {
                 for (i, ring) in rings.into_iter().enumerate() {
                     let shared = Arc::clone(&shared);
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("wren-uring-{i}"))
-                            .spawn(move || crate::uring::uring_loop(shared, i, ring))
-                            .expect("spawn reactor thread"),
-                    );
+                    threads.push(LoopThread::spawn(
+                        format!("wren-uring-{i}"),
+                        &up,
+                        move || crate::uring::uring_loop(shared, i, ring),
+                    ));
                 }
             }
         }
+        up.wait();
         Ok(Reactor {
             shared,
             backend,
-            handles: Mutex::new(handles),
+            threads: Mutex::new(threads),
         })
     }
 
@@ -634,8 +678,8 @@ impl<H: ReactorHandler> Reactor<H> {
 
     /// Flags the reactor closed and wakes every thread; each severs all
     /// of its connections (running `on_close` for each), drops its
-    /// listeners and exits. Idempotent. [`join`](Self::join) afterwards
-    /// for deterministic teardown.
+    /// listeners and is done. Idempotent. The threads themselves end in
+    /// [`join`](Self::join) (or when the pool is dropped).
     pub fn shutdown(&self) {
         self.shared.closing.store(true, Ordering::SeqCst);
         for t in &self.shared.threads {
@@ -646,11 +690,11 @@ impl<H: ReactorHandler> Reactor<H> {
     /// Joins every reactor thread. Call after [`shutdown`](Self::shutdown)
     /// (joining a running reactor would block forever). Idempotent.
     pub fn join(&self) {
-        let handles: Vec<_> = std::mem::take(
-            &mut *self.handles.lock().unwrap_or_else(|e| e.into_inner()),
+        let threads: Vec<_> = std::mem::take(
+            &mut *self.threads.lock().unwrap_or_else(|e| e.into_inner()),
         );
-        for h in handles {
-            let _ = h.join();
+        for t in threads {
+            t.join();
         }
     }
 }

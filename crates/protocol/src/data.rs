@@ -54,10 +54,12 @@ pub struct WrenVersion {
 }
 
 impl Versioned for WrenVersion {
+    #[inline]
     fn order_key(&self) -> (Timestamp, u8, u64) {
         (self.ut, self.sr.0, self.tx.raw())
     }
 
+    #[inline]
     fn remote_dep(&self) -> Timestamp {
         self.rdt
     }
@@ -84,6 +86,7 @@ pub struct CureVersion {
 }
 
 impl Versioned for CureVersion {
+    #[inline]
     fn order_key(&self) -> (Timestamp, u8, u64) {
         (self.ut, self.sr.0, self.tx.raw())
     }
@@ -176,6 +179,19 @@ mod tests {
         let mut c = a.clone();
         c.ut = Timestamp::from_micros(11);
         assert!(c.order_key() > b.order_key(), "timestamp dominates");
+    }
+
+    /// The storage layout's byte budget (`docs/storage_layout.md`): a
+    /// chain entry is the bare version — nothing beside it, no cached
+    /// order key — and a single-version chain is that version, inline.
+    /// A field added to either is a decision about every stored key.
+    #[test]
+    fn a_single_version_chain_is_the_size_of_its_version() {
+        use std::mem::size_of;
+        use wren_storage::VersionChain;
+        assert_eq!(size_of::<WrenVersion>(), 56);
+        assert!(size_of::<VersionChain<WrenVersion>>() <= 56);
+        assert!(size_of::<(Key, VersionChain<WrenVersion>)>() <= 64);
     }
 
     #[test]

@@ -10,11 +10,11 @@ use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wren_clock::SystemClock;
-use wren_core::{FsyncPolicy, ServerStats, ServerTrace, TxEvent, WrenConfig};
+use wren_core::{FsyncPolicy, ServerStats, ServerTrace, TxEvent, WrenConfig, WrenServer};
 use wren_net::{Backend, FaultPlan};
 use wren_obs::{MetricsSnapshot, Registry};
 use wren_protocol::{ClientId, Dest, Outgoing, ServerId, WrenMsg};
@@ -817,19 +817,18 @@ impl Cluster {
             .unwrap_or(0);
         let clock = SystemClock::with_offset(Instant::now(), base as i64);
 
-        let mut engines = Vec::with_capacity(total);
-        for (idx, (id, server)) in servers.into_iter().enumerate() {
-            engines.push(Some(PartitionEngine::spawn(
-                id,
-                server,
-                clock.clone(),
-                rxs[idx].clone(),
-                read_rxs[idx].clone().map(|rx| (rx, cfg.read_workers)),
-                Arc::clone(&router),
-                ticks_of(&cfg),
-                false,
-            )));
-        }
+        // A durable cluster may be resuming a previous life, and what
+        // was in flight between its DCs when that life ended is gone: a
+        // graceful stop ends the writers one after another, so a
+        // replication batch shipped by a writer still running can land
+        // in the inbox of one that has already sealed. Every partition
+        // therefore opens with catch-up, as a restarted one does; on a
+        // first boot, or with one DC, that is an empty exchange.
+        let rejoin = cfg.durable_dir.is_some();
+        let engines: Vec<_> = spawn_engines(&cfg, &router, &clock, &rxs, &read_rxs, servers, rejoin)
+            .into_iter()
+            .map(Some)
+            .collect();
 
         // Observability: collect every engine's registry + trace ring,
         // add the session / fabric / fault registries, and (optionally)
@@ -1148,18 +1147,17 @@ impl Cluster {
             durability_of(&self.cfg, id),
             self.cfg.tx_abort_timeout,
         );
-        let engine = PartitionEngine::spawn(
-            id,
-            server,
-            self.clock.clone(),
-            self.server_rxs[idx].clone(),
-            self.read_rxs[idx]
-                .clone()
-                .map(|rx| (rx, self.cfg.read_workers)),
-            Arc::clone(&self.router),
-            ticks_of(&self.cfg),
+        let engine = spawn_engines(
+            &self.cfg,
+            &self.router,
+            &self.clock,
+            &self.server_rxs,
+            &self.read_rxs,
+            vec![(id, server)],
             true,
-        );
+        )
+        .pop()
+        .expect("one server, one engine");
         // The new process gets a fresh registry and trace ring (its
         // pre-crash metrics died with it, as on a real host); the
         // restart event is the new trace's first entry, so a dump reads
@@ -1174,7 +1172,9 @@ impl Cluster {
     /// thread and a poison job per read worker (queued behind any
     /// pending slices, which are still served). Threads are joined (and
     /// their final [`ServerStats`] collected) in [`Cluster::stop`] or on
-    /// drop; calling this twice is harmless (idempotent).
+    /// drop — until then a writer or event loop that has finished its
+    /// work stays parked, so that the threads end in a fixed order;
+    /// calling this twice is harmless (idempotent).
     pub fn shutdown(&self) {
         if self.shut_down.swap(true, Ordering::SeqCst) {
             return;
@@ -1202,7 +1202,21 @@ impl Cluster {
     /// thread outlives the call.
     pub fn stop(mut self) -> Vec<ServerStats> {
         self.shutdown();
+        self.join_threads()
+    }
+
+    /// Joins every thread of a cluster that has been
+    /// [shut down](Self::shutdown), in the reverse of the order
+    /// [`spawn_engines`] and the fabric started them — every read
+    /// worker, then every writer, then the fabric's threads (acceptors,
+    /// connection readers and outbox writers, or the event loops) — and
+    /// returns the writers' final statistics (a default for a partition
+    /// that is down).
+    fn join_threads(&mut self) -> Vec<ServerStats> {
         self.stop_metrics_logger();
+        for engine in self.engines.iter_mut().flatten() {
+            engine.join_workers();
+        }
         let stats = self
             .engines
             .drain(..)
@@ -1224,20 +1238,52 @@ impl Cluster {
     }
 }
 
+/// Spawns the engines of `servers` — every writer, then every read
+/// pool, each kind running before this goes on — and returns them in
+/// the order given. [`PartitionEngine`] says why the order, which
+/// [`Cluster::join_threads`] mirrors.
+fn spawn_engines(
+    cfg: &ClusterBuilder,
+    router: &Arc<Router>,
+    clock: &SystemClock,
+    rxs: &[Receiver<RtMsg>],
+    read_rxs: &[Option<Receiver<ReadJob>>],
+    servers: Vec<(ServerId, WrenServer)>,
+    rejoin: bool,
+) -> Vec<PartitionEngine> {
+    let writers_up = Arc::new(Barrier::new(servers.len() + 1));
+    let mut engines: Vec<_> = servers
+        .into_iter()
+        .map(|(id, server)| {
+            PartitionEngine::spawn(
+                id,
+                server,
+                clock.clone(),
+                rxs[id.dc_major_index(cfg.n_partitions)].clone(),
+                Arc::clone(router),
+                ticks_of(cfg),
+                rejoin,
+                &writers_up,
+            )
+        })
+        .collect();
+    writers_up.wait();
+    let workers_up = Arc::new(Barrier::new(engines.len() * cfg.read_workers + 1));
+    for engine in &mut engines {
+        // (`Some` exactly when the cluster has read workers.)
+        if let Some(read_rx) = &read_rxs[engine.id().dc_major_index(cfg.n_partitions)] {
+            engine.spawn_read_pool(read_rx, cfg.read_workers, router, &workers_up);
+        }
+    }
+    workers_up.wait();
+    engines
+}
+
 impl Drop for Cluster {
     fn drop(&mut self) {
         self.shutdown();
-        self.stop_metrics_logger();
-        // Deterministic teardown, workers before writer per engine: no
-        // detached read worker survives the cluster.
-        for engine in self.engines.drain(..).flatten() {
-            let _ = engine.join();
-        }
-        // Then the fabric: acceptors, connection readers and outbox
-        // writers — no socket thread survives either.
-        if let Some(fabric) = self.router.tcp() {
-            fabric.join_threads();
-        }
+        // No engine or socket thread survives the cluster.
+        self.join_threads();
     }
 }
 

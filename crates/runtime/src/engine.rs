@@ -49,7 +49,7 @@
 use crate::cluster::{Router, RtMsg};
 use crossbeam_channel::{Receiver, RecvTimeoutError};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wren_clock::{SkewedClock, SystemClock, Timestamp};
@@ -84,8 +84,36 @@ pub(crate) enum ReadJob {
 /// metric registry and trace ring are cloned out before the state
 /// machine moves into the writer thread, so the cluster can snapshot a
 /// live partition (and dump its trace post-mortem) without touching it.
+///
+/// # Thread lifecycle: kind by kind, last in first out
+///
+/// A cluster starts its threads one kind at a time — the fabric's event
+/// loops, then every writer ([`spawn`](Self::spawn)), then every read
+/// pool ([`spawn_read_pool`](Self::spawn_read_pool)), each kind running
+/// (an `up` barrier) before the next is spawned — and ends them in the
+/// reverse order: read workers go first, a writer that has finished
+/// waits until [`join`](Self::join) has seen its workers off, and the
+/// event loops wait for theirs in turn (`wren_net::Reactor::join`).
+///
+/// Nothing in the protocol needs that order; memory does. An allocator
+/// with per-thread arenas (glibc) hands a new thread the arena of the
+/// thread that exited last. With starts and exits in mirrored order, a
+/// cluster restarted in the same process — or a restarted partition —
+/// gives every writer an arena a writer has already grown, and every
+/// read worker a small one. When exits race instead, a writer's freed
+/// tables and log buffers (1–2 MiB, below what the allocator returns to
+/// the OS) end up under a read worker that never needs them while the
+/// next writer grows a fresh arena, and resident memory creeps with
+/// every restart by an amount that depends on scheduling: 15.6 → 25.7
+/// MiB over thirty lifetimes of a 2-partition durable cluster on a
+/// quiet machine, less on a busy one; 15.4 → 18.1 MiB, flat from the
+/// third lifetime on, with the order kept (`docs/storage_layout.md`;
+/// `tests/restart_memory.rs` holds it).
 pub(crate) struct PartitionEngine {
+    id: ServerId,
     writer: JoinHandle<Remains>,
+    /// The writer thread ends once this is let go of.
+    writer_may_exit: mpsc::Sender<()>,
     workers: Vec<JoinHandle<()>>,
     reader: SliceReader,
     registry: wren_obs::Registry,
@@ -130,57 +158,85 @@ impl PartitionEngine {
         server
     }
 
-    /// Spawns the writer thread and the read workers around `server`.
-    /// `read_pool` carries the receiving side of the channel the router
-    /// diverts this partition's `SliceReq`s to, plus the pool size;
-    /// `None` means the writer serves reads inline as before. `clock`
-    /// is the cluster's physical time, shared by every engine. `rejoin`
-    /// runs post-restart catch-up first: ask the sibling replicas to
-    /// re-ship what died in the crashed process's inbox — `false` on a
-    /// cluster-wide cold start (nothing was lost), `true` on
-    /// [`Cluster::restart_partition`](crate::Cluster::restart_partition).
+    /// Spawns the writer thread around `server`; it meets `up` before
+    /// its loop starts. `clock` is the cluster's physical time, shared
+    /// by every engine. `rejoin` runs catch-up first: ask the sibling
+    /// replicas to re-ship what died in the previous process's inbox —
+    /// `true` on
+    /// [`Cluster::restart_partition`](crate::Cluster::restart_partition)
+    /// and on the cold start of a durable cluster (whose previous life,
+    /// however it ended, may have left replication in flight), `false`
+    /// for a cluster without a log, which has no previous life.
+    /// Without a [read pool](Self::spawn_read_pool) the writer serves
+    /// reads inline.
     #[allow(clippy::too_many_arguments)] // internal: one call site per mode
     pub(crate) fn spawn(
         id: ServerId,
         server: WrenServer,
         clock: SystemClock,
         rx: Receiver<RtMsg>,
-        read_pool: Option<(Receiver<ReadJob>, usize)>,
         router: Arc<Router>,
         ticks: Ticks,
         rejoin: bool,
+        up: &Arc<Barrier>,
     ) -> PartitionEngine {
         // Handles are taken on the spawning thread, before the state
         // machine moves into the writer thread.
         let registry = server.registry();
         let trace = server.trace();
         let reader = server.reader();
-        let mut workers = Vec::new();
-        if let Some((read_rx, n_workers)) = read_pool {
-            workers.reserve(n_workers);
-            for _ in 0..n_workers {
-                let reader = server.reader();
-                let rx = read_rx.clone();
-                let router = Arc::clone(&router);
-                workers.push(std::thread::spawn(move || {
-                    read_worker(id, reader, rx, router)
-                }));
-            }
-        }
+        let up = Arc::clone(up);
+        let (writer_may_exit, exit) = mpsc::channel::<()>();
         let writer = std::thread::spawn(move || {
+            up.wait();
             // The state machine as the loop left it — sealed after a
             // graceful stop, mid-flight after a kill — is summed up and
             // dropped here, on the thread that allocated it.
-            let server = server_loop(id, server, clock, rx, router, ticks, rejoin);
-            (server.stats(), server.log_synced_prefix())
+            let remains = {
+                let server = server_loop(id, server, clock, rx, router, ticks, rejoin);
+                (server.stats(), server.log_synced_prefix())
+            };
+            // Nothing is ever sent: this returns when the sender goes.
+            let _ = exit.recv();
+            remains
         });
         PartitionEngine {
+            id,
             writer,
-            workers,
+            writer_may_exit,
+            workers: Vec::new(),
             reader,
             registry,
             trace,
         }
+    }
+
+    /// Spawns `n_workers` read workers on `read_rx`, the receiving side
+    /// of the channel the router diverts this partition's `SliceReq`s
+    /// to; each meets `up` before it serves.
+    pub(crate) fn spawn_read_pool(
+        &mut self,
+        read_rx: &Receiver<ReadJob>,
+        n_workers: usize,
+        router: &Arc<Router>,
+        up: &Arc<Barrier>,
+    ) {
+        let id = self.id;
+        self.workers.extend((0..n_workers).map(|_| {
+            let reader = self.reader.clone();
+            let rx = read_rx.clone();
+            let router = Arc::clone(router);
+            let up = Arc::clone(up);
+            std::thread::spawn(move || {
+                up.wait();
+                read_worker(id, reader, rx, router)
+            })
+        }));
+    }
+
+    /// The partition this engine serves.
+    pub(crate) fn id(&self) -> ServerId {
+        self.id
     }
 
     /// The partition's metric registry (live — snapshot any time).
@@ -193,6 +249,14 @@ impl PartitionEngine {
         self.trace.clone()
     }
 
+    /// Joins the read workers alone: what a cluster does for *every*
+    /// engine before it lets the first writer go.
+    pub(crate) fn join_workers(&mut self) {
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
+    }
+
     /// Joins the engine's threads deterministically — workers first
     /// (they drain any queued slices, then hit the poison jobs
     /// [`Cluster::shutdown`](crate::Cluster::shutdown) queued, one per
@@ -202,9 +266,8 @@ impl PartitionEngine {
     /// mid-slice, so only a post-join load of the shared atomics counts
     /// every served slice.
     pub(crate) fn join(mut self) -> Remains {
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.join_workers();
+        drop(self.writer_may_exit);
         let (mut stats, synced_wal) = self.writer.join().unwrap_or_default();
         stats.slices_served = self.reader.slices_served();
         stats.keys_read = self.reader.keys_read();

@@ -15,6 +15,12 @@ pub type OrderKey = (Timestamp, u8, u64);
 /// (§II-C).
 pub trait Versioned {
     /// The last-writer-wins order key. Higher keys win.
+    ///
+    /// A [`VersionChain`] stores bare versions and calls this at every
+    /// comparison instead of keeping a copy of the key beside each one,
+    /// so an implementation must be **O(1) field reads, pure, and fixed
+    /// for the version's lifetime**: a key that changed after insertion
+    /// would silently break the chain's sort order.
     fn order_key(&self) -> OrderKey;
 
     /// The version's remote dependency time, consulted by
@@ -31,9 +37,10 @@ pub trait Versioned {
 ///
 /// # Ordering invariant
 ///
-/// Entries are stored **oldest-first, sorted ascending by the LWW order
-/// key**, and each entry caches its key inline so comparisons never call
-/// back into [`Versioned::order_key`]. Two consequences:
+/// Versions are stored **oldest-first, sorted ascending by the LWW order
+/// key**, which every comparison reads from the version itself
+/// ([`Versioned::order_key`]) — an entry is the version and nothing
+/// else. Two consequences:
 ///
 /// * **inserts are O(1)** in the common case — versions are applied in
 ///   increasing commit-timestamp order, so the newcomer's key usually
@@ -46,54 +53,141 @@ pub trait Versioned {
 ///
 /// The public iteration order remains newest-first (the LWW winner
 /// first), matching what readers and tests expect.
+///
+/// # Layout: a chain costs what it holds
+///
+/// A chain is in one of three states — empty, **one version held
+/// inline** (no allocation: the version lives wherever the chain does,
+/// i.e. in its map slot), or **two or more in a `Vec`**. Every read path
+/// goes through one `&[V]` view and cannot tell them apart; only
+/// `insert` / `apply_batch` / `insert_if_new` (which promote inline →
+/// `Vec` on the second version, ordinary doubling from there) and
+/// [`collect`](VersionChain::collect) (which demotes back to inline when
+/// one version is left, and otherwise shrinks a `Vec` whose length fell
+/// to a quarter of its capacity) know the states exist. "Is in the `Vec`
+/// state" is exactly "holds ≥ 2 versions", the only chains GC can
+/// shorten — [`MvStore`](crate::MvStore) builds its GC work list on
+/// that. `docs/storage_layout.md` has the byte budget.
 #[derive(Clone, Debug)]
 pub struct VersionChain<V> {
-    /// Oldest-first; ascending by cached order key.
-    entries: Vec<(OrderKey, V)>,
+    state: State<V>,
+}
+
+/// Oldest-first, ascending by order key. `Many` always holds ≥ 2
+/// versions: [`State::from`] is the only way a `Vec` becomes a state.
+#[derive(Clone, Debug)]
+enum State<V> {
+    Empty,
+    One(V),
+    Many(Vec<V>),
+}
+
+impl<V> From<Vec<V>> for State<V> {
+    fn from(mut versions: Vec<V>) -> Self {
+        match versions.len() {
+            0 => State::Empty,
+            1 => State::One(versions.pop().expect("len checked")),
+            _ => State::Many(versions),
+        }
+    }
 }
 
 impl<V> Default for VersionChain<V> {
     fn default() -> Self {
         VersionChain {
-            entries: Vec::new(),
+            state: State::Empty,
         }
     }
+}
+
+/// The newest version of `versions` (sorted ascending) that `bound`
+/// admits, with its index: binary search to the bound's
+/// commit-timestamp ceiling, then the per-origin refinement downward
+/// from the newest candidate (versions above the ceiling can never be
+/// admitted).
+fn newest_admitted<'a, V: Versioned>(
+    versions: &'a [V],
+    bound: &SnapshotBound<'_>,
+) -> Option<(usize, &'a V)> {
+    let ceiling = bound.ceiling();
+    let below = versions.partition_point(|v| v.order_key().0 <= ceiling);
+    versions[..below]
+        .iter()
+        .enumerate()
+        .rfind(|(_, v)| bound.admits(&v.order_key(), v.remote_dep()))
 }
 
 impl<V: Versioned> VersionChain<V> {
     /// Creates an empty chain.
     pub fn new() -> Self {
-        VersionChain {
-            entries: Vec::new(),
+        VersionChain::default()
+    }
+
+    /// The versions, oldest first, whatever state holds them.
+    fn as_slice(&self) -> &[V] {
+        match &self.state {
+            State::Empty => &[],
+            State::One(v) => std::slice::from_ref(v),
+            State::Many(versions) => versions,
         }
+    }
+
+    /// Runs `f` on the chain's versions as a `Vec` with room for `extra`
+    /// more, then stores whatever state the result's length calls for.
+    fn with_vec<R>(&mut self, extra: usize, f: impl FnOnce(&mut Vec<V>) -> R) -> R {
+        let mut versions = match std::mem::replace(&mut self.state, State::Empty) {
+            State::Empty => Vec::with_capacity(extra),
+            State::One(v) => {
+                let mut versions = Vec::with_capacity(1 + extra);
+                versions.push(v);
+                versions
+            }
+            State::Many(versions) => versions,
+        };
+        let r = f(&mut versions);
+        self.state = State::from(versions);
+        r
     }
 
     /// Number of versions currently retained.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.as_slice().len()
     }
 
     /// Whether the chain holds no versions.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.as_slice().is_empty()
+    }
+
+    /// Slots of `V` the chain has allocated on the heap (0 while it is
+    /// empty or holds its one version inline).
+    pub(crate) fn heap_slots(&self) -> usize {
+        match &self.state {
+            State::Many(versions) => versions.capacity(),
+            _ => 0,
+        }
     }
 
     /// Inserts a version at its last-writer-wins position.
     ///
     /// The fast path (in-order commit, the overwhelmingly common case) is
-    /// a single cached-key comparison followed by a tail push; only
-    /// out-of-order deliveries pay the binary search, and none of the
-    /// paths re-derive the key through the [`Versioned`] trait per
-    /// comparison.
+    /// a single key comparison followed by a tail push; only out-of-order
+    /// deliveries pay the binary search.
     pub fn insert(&mut self, v: V) {
-        let key = v.order_key();
-        match self.entries.last() {
-            Some((tail, _)) if key < *tail => {
-                let pos = self.entries.partition_point(|(k, _)| *k <= key);
-                self.entries.insert(pos, (key, v));
-            }
-            _ => self.entries.push((key, v)),
+        if self.is_empty() {
+            self.state = State::One(v);
+            return;
         }
+        self.with_vec(1, |versions| {
+            let key = v.order_key();
+            match versions.last() {
+                Some(tail) if key < tail.order_key() => {
+                    let pos = versions.partition_point(|e| e.order_key() <= key);
+                    versions.insert(pos, v);
+                }
+                _ => versions.push(v),
+            }
+        });
     }
 
     /// Splices a **sorted run** of versions into the chain with a single
@@ -126,22 +220,23 @@ impl<V: Versioned> VersionChain<V> {
             run.windows(2).all(|w| w[0].order_key() <= w[1].order_key()),
             "apply_batch run must be sorted ascending by order key"
         );
-        // Fast path: the whole run is newer than the tail (in-order
-        // replication, the common case) — a bulk append.
-        if self.entries.last().is_none_or(|(tail, _)| first > *tail) {
-            self.entries.extend(run.drain(..).map(|v| (v.order_key(), v)));
-            return;
-        }
-        let lo = self.entries.partition_point(|(k, _)| *k <= first);
-        let hi = self.entries.partition_point(|(k, _)| *k <= last);
-        let run_len = run.len();
-        self.entries
-            .splice(lo..lo, run.drain(..).map(|v| (v.order_key(), v)));
-        if lo != hi {
-            // Existing entries with keys inside (first, last] were pushed
-            // behind the run by the splice; restore order locally.
-            self.entries[lo..hi + run_len].sort_unstable_by_key(|e| e.0);
-        }
+        self.with_vec(run.len(), |versions| {
+            // Fast path: the whole run is newer than the tail (in-order
+            // replication, the common case) — a bulk append.
+            if versions.last().is_none_or(|tail| first > tail.order_key()) {
+                versions.append(run);
+                return;
+            }
+            let lo = versions.partition_point(|e| e.order_key() <= first);
+            let hi = versions.partition_point(|e| e.order_key() <= last);
+            let run_len = run.len();
+            versions.splice(lo..lo, run.drain(..));
+            if lo != hi {
+                // Existing entries with keys inside (first, last] were pushed
+                // behind the run by the splice; restore order locally.
+                versions[lo..hi + run_len].sort_unstable_by_key(Versioned::order_key);
+            }
+        });
     }
 
     /// Inserts a version only if no version with the same order key is
@@ -154,11 +249,12 @@ impl<V: Versioned> VersionChain<V> {
     /// "same key ⇒ same version" makes re-application a no-op.
     pub fn insert_if_new(&mut self, v: V) -> bool {
         let key = v.order_key();
-        let pos = self.entries.partition_point(|(k, _)| *k < key);
-        if self.entries.get(pos).is_some_and(|(k, _)| *k == key) {
+        let versions = self.as_slice();
+        let pos = versions.partition_point(|e| e.order_key() < key);
+        if versions.get(pos).is_some_and(|e| e.order_key() == key) {
             return false;
         }
-        self.entries.insert(pos, (key, v));
+        self.insert(v);
         true
     }
 
@@ -169,27 +265,18 @@ impl<V: Versioned> VersionChain<V> {
     /// applies the bound's per-origin refinement downward from the newest
     /// candidate (versions above the ceiling can never be admitted).
     pub fn latest_visible(&self, bound: &SnapshotBound<'_>) -> Option<&V> {
-        let ceiling = bound.ceiling();
-        let mut idx = self.entries.partition_point(|(k, _)| k.0 <= ceiling);
-        while idx > 0 {
-            idx -= 1;
-            let (key, v) = &self.entries[idx];
-            if bound.admits(key, v.remote_dep()) {
-                return Some(v);
-            }
-        }
-        None
+        newest_admitted(self.as_slice(), bound).map(|(_, v)| v)
     }
 
     /// The newest version outright (what a causally-unconstrained reader
     /// would see).
     pub fn newest(&self) -> Option<&V> {
-        self.entries.last().map(|(_, v)| v)
+        self.as_slice().last()
     }
 
     /// Iterates newest to oldest.
     pub fn iter(&self) -> impl Iterator<Item = &V> {
-        self.entries.iter().rev().map(|(_, v)| v)
+        self.as_slice().iter().rev()
     }
 
     /// Garbage-collects versions that no active or future snapshot can
@@ -203,28 +290,29 @@ impl<V: Versioned> VersionChain<V> {
     /// the versions up to and including the oldest one within S_old").
     ///
     /// Chains of length ≤ 1 return immediately: the rule always retains
-    /// the newest version, so there is nothing to drop.
+    /// the newest version, so there is nothing to drop. A chain left with
+    /// one version gives its allocation back and holds the survivor
+    /// inline; one left with at most a quarter of its capacity in use
+    /// shrinks to twice its length, so a burst of versions on a hot key
+    /// is paid for only while it lasts.
     ///
     /// Returns the number of versions removed.
     pub fn collect(&mut self, oldest_snapshot: &SnapshotBound<'_>) -> usize {
-        if self.entries.len() <= 1 {
-            return 0;
-        }
-        let ceiling = oldest_snapshot.ceiling();
-        let mut idx = self.entries.partition_point(|(k, _)| k.0 <= ceiling);
-        while idx > 0 {
-            idx -= 1;
-            let (key, v) = &self.entries[idx];
-            if oldest_snapshot.admits(key, v.remote_dep()) {
-                // `idx` is the newest visible version: keep it and
-                // everything newer, drop the `idx` older entries.
-                self.entries.drain(..idx);
-                return idx;
+        // The newest visible version stays, with everything newer; the
+        // `idx` older ones go. With no version visible at the oldest
+        // snapshot, all of them may still become visible: keep them all.
+        let idx = match newest_admitted(self.as_slice(), oldest_snapshot) {
+            None | Some((0, _)) => return 0,
+            Some((idx, _)) => idx,
+        };
+        self.with_vec(0, |versions| {
+            versions.drain(..idx);
+            // (A lone survivor moves inline and frees the `Vec` outright.)
+            if versions.len() > 1 && versions.len() <= versions.capacity() / 4 {
+                versions.shrink_to(2 * versions.len());
             }
-        }
-        // No version visible at the oldest snapshot: everything may still
-        // become visible (all in the "future"), keep it all.
-        0
+        });
+        idx
     }
 }
 
@@ -343,6 +431,42 @@ mod tests {
         c.insert(v(10, "only"));
         assert_eq!(c.collect(&SnapshotBound::all()), 0);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn one_version_is_held_inline_and_a_burst_is_paid_for_only_while_it_lasts() {
+        let mut c = VersionChain::new();
+        c.insert(v(10, "a"));
+        assert_eq!((c.len(), c.heap_slots()), (1, 0), "one version: no allocation");
+        // Promotion on the second version, whichever mutator brings it
+        // and wherever it sorts.
+        let mut second = c.clone();
+        second.insert(v(5, "older"));
+        assert_eq!((second.len(), second.heap_slots()), (2, 2));
+        let mut second = c.clone();
+        assert!(second.insert_if_new(v(20, "newer")));
+        assert_eq!((second.len(), second.heap_slots()), (2, 2));
+        assert!(!c.insert_if_new(v(10, "dup")), "a duplicate leaves it inline");
+        assert_eq!(c.heap_slots(), 0);
+        c.apply_batch(&mut vec![v(20, "b"), v(30, "c")]);
+        assert_eq!((c.len(), c.heap_slots()), (3, 3));
+        // A burst: ordinary doubling.
+        for ct in 4..=64 {
+            c.insert(v(ct * 10, "burst"));
+        }
+        assert_eq!((c.len(), c.heap_slots()), (64, 96));
+        // 64 → 40 versions: still above a quarter of the capacity.
+        assert_eq!(c.collect(&at_most(250)), 24);
+        assert_eq!((c.len(), c.heap_slots()), (40, 96));
+        // 40 → 8: shrinks to twice what is left.
+        assert_eq!(c.collect(&at_most(570)), 32);
+        assert_eq!((c.len(), c.heap_slots()), (8, 16));
+        // 8 → 1: back inline, allocation returned.
+        assert_eq!(c.collect(&SnapshotBound::all()), 7);
+        assert_eq!((c.len(), c.heap_slots()), (1, 0));
+        assert_eq!(c.newest().unwrap().ct, 640);
+        assert_eq!(c.latest_visible(&at_most(640)).unwrap().ct, 640);
+        assert!(c.latest_visible(&at_most(639)).is_none());
     }
 
     #[test]

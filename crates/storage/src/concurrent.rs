@@ -243,24 +243,31 @@ impl<K: Eq + Hash + Clone, V: Versioned + Clone> ConcurrentShardedStore<K, V> {
         applied
     }
 
-    /// Runs garbage collection over every stripe, write-locking one
-    /// stripe at a time (readers of other stripes are never stalled).
-    /// Returns the number of versions removed.
+    /// Runs garbage collection stripe by stripe
+    /// ([`collect_stripe`](ConcurrentShardedStore::collect_stripe)):
+    /// only stripes with a multi-version chain are write-locked, one at
+    /// a time, each for a walk of those chains alone. Returns the number
+    /// of versions removed.
     pub fn collect(&self, oldest_snapshot: &SnapshotBound<'_>) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.write().collect(oldest_snapshot))
+        (0..self.stripes.len())
+            .map(|stripe| self.collect_stripe(stripe, oldest_snapshot))
             .sum()
     }
 
-    /// Garbage-collects a single stripe. Returns the number of versions
-    /// removed.
+    /// Garbage-collects a single stripe. Only multi-version chains can
+    /// shrink ([`MvStore::collect`]), so a stripe without one is left
+    /// alone — checked under its *read* lock: an idle stripe never
+    /// stalls a read worker. Returns the number of versions removed.
     ///
     /// # Panics
     ///
     /// Panics if `stripe >= n_stripes()`.
     pub fn collect_stripe(&self, stripe: usize, oldest_snapshot: &SnapshotBound<'_>) -> usize {
-        self.stripes[stripe].write().collect(oldest_snapshot)
+        let stripe = &self.stripes[stripe];
+        if stripe.read().multi_version_keys().is_empty() {
+            return 0;
+        }
+        stripe.write().collect(oldest_snapshot)
     }
 
     /// Aggregate statistics: the sum of S O(1) per-stripe rollups, each
@@ -271,10 +278,7 @@ impl<K: Eq + Hash + Clone, V: Versioned + Clone> ConcurrentShardedStore<K, V> {
     pub fn stats(&self) -> StoreStats {
         let mut total = StoreStats::default();
         for s in &self.stripes {
-            let st = s.read().stats();
-            total.keys += st.keys;
-            total.versions += st.versions;
-            total.collected += st.collected;
+            total += s.read().stats();
         }
         total
     }

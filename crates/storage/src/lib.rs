@@ -16,10 +16,13 @@
 //! * [`SnapshotBound`] — a snapshot's visibility rule as first-class
 //!   data: Wren's `(lt, rt)` pair, Cure's dependency vector, or a plain
 //!   commit-timestamp cutoff;
-//! * [`VersionChain`] — the versions of one key;
+//! * [`VersionChain`] — the versions of one key: bare versions, the
+//!   only one held inline, two or more in a `Vec`;
 //! * [`MvStore`] — a flat map of chains behind an [`FxHasher`]-keyed
-//!   map, with watermark-based garbage collection ([`MvStore::collect`])
-//!   and O(1) [`MvStore::stats`];
+//!   map, with watermark-based garbage collection that walks only the
+//!   chains holding two or more versions ([`MvStore::collect`]) and
+//!   O(1) [`MvStore::stats`], heap bytes included
+//!   (`docs/storage_layout.md` has the per-key byte budget);
 //! * [`ShardedStore`] — a partition's worth of data as `S` power-of-two
 //!   key-hash **stripes**, each an independent [`MvStore`] (the
 //!   single-threaded reference the benches and property tests pin the
@@ -46,7 +49,7 @@
 //! `latest_visible` / `newest` / `chain` / `stats` / `iter` behave
 //! exactly like the flat store (property-tested against it) — but give
 //! the write side independent units: per-stripe stats rollup, per-stripe
-//! GC sweeps ([`ShardedStore::collect_stripe`]), and per-stripe batch
+//! GC passes ([`ShardedStore::collect_stripe`]), and per-stripe batch
 //! buckets, so a future multi-threaded server can serve slices
 //! concurrently without a global lock.
 //!
@@ -61,15 +64,15 @@
 //! plus at most one shift. [`MvStore::apply_batch`] sorts a whole batch
 //! once by `(key, order key)` and feeds each key's run to its chain;
 //! [`ShardedStore::apply_batch`] buckets by stripe first (buffers are
-//! reused, so steady-state batch apply allocates nothing). Callers need
+//! reused: a batch allocates only where a chain grows). Callers need
 //! not pre-sort: the store-level entry points sort internally, and ties
 //! on the commit timestamp resolve exactly as repeated
 //! [`VersionChain::insert`] calls would.
 //!
 //! # The ordering invariant behind the read path
 //!
-//! Every chain keeps its versions **sorted by the LWW order key**, with
-//! the key cached inline next to each version. The key's first component
+//! Every chain keeps its versions **sorted by the LWW order key**, read
+//! from the version itself at each comparison. The key's first component
 //! is the commit timestamp, so sorting by key is also sorting by commit
 //! timestamp (ties broken by origin DC, then transaction id — the same
 //! order LWW resolves conflicts in).

@@ -14,9 +14,10 @@
 //!   per-stripe hash tables of entropy;
 //! * stats roll up per stripe ([`ShardedStore::stats`] sums S O(1)
 //!   counters; [`ShardedStore::stripe_stats`] exposes one stripe);
-//! * GC can sweep the whole store ([`ShardedStore::collect`]) or a
+//! * GC can run over the whole store ([`ShardedStore::collect`]) or a
 //!   single stripe ([`ShardedStore::collect_stripe`]) — the unit a
-//!   server amortizes across ticks without blocking unrelated keys;
+//!   server amortizes across ticks without blocking unrelated keys —
+//!   and either way visits only chains with two or more versions;
 //! * batch apply ([`ShardedStore::apply_batch`]) fans a replication
 //!   batch out to per-stripe buckets and splices each key's run with one
 //!   binary search (see [`VersionChain::apply_batch`]).
@@ -135,8 +136,9 @@ impl<K: Eq + Hash + Clone, V: Versioned> ShardedStore<K, V> {
     /// Applies a batch of versions: items are bucketed by stripe, then
     /// each stripe splices its keys' runs with one chain search per key
     /// ([`MvStore::apply_batch`]). Both the stripe buckets and the
-    /// per-key run buffer are reused across calls, so steady-state batch
-    /// apply allocates nothing. `items` is drained (capacity kept).
+    /// per-key run buffer are reused across calls, so a batch allocates
+    /// only where a chain outgrows its capacity. `items` is drained
+    /// (capacity kept).
     /// Returns the number of versions applied.
     pub fn apply_batch(&mut self, items: &mut Vec<(K, V)>) -> usize
     where
@@ -159,8 +161,9 @@ impl<K: Eq + Hash + Clone, V: Versioned> ShardedStore<K, V> {
         applied
     }
 
-    /// Runs garbage collection over every stripe (a full sweep, done
-    /// stripe by stripe). Returns the number of versions removed.
+    /// Runs garbage collection stripe by stripe; each stripe walks only
+    /// its multi-version chains ([`MvStore::collect`]), so a stripe
+    /// without one costs nothing. Returns the number of versions removed.
     pub fn collect(&mut self, oldest_snapshot: &SnapshotBound<'_>) -> usize {
         self.stripes
             .iter_mut()
@@ -168,8 +171,8 @@ impl<K: Eq + Hash + Clone, V: Versioned> ShardedStore<K, V> {
             .sum()
     }
 
-    /// Garbage-collects a single stripe — the sweep unit a server can
-    /// rotate across GC ticks so no tick stalls on the whole key space.
+    /// Garbage-collects a single stripe — the unit a server can rotate
+    /// across GC ticks so no tick stalls on the whole key space.
     /// Returns the number of versions removed.
     ///
     /// # Panics
@@ -187,10 +190,7 @@ impl<K: Eq + Hash + Clone, V: Versioned> ShardedStore<K, V> {
     pub fn stats(&self) -> StoreStats {
         let mut total = StoreStats::default();
         for s in &self.stripes {
-            let st = s.stats();
-            total.keys += st.keys;
-            total.versions += st.versions;
-            total.collected += st.collected;
+            total += s.stats();
         }
         total
     }

@@ -1,6 +1,7 @@
 use crate::{FxBuildHasher, SnapshotBound, VersionChain, Versioned};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
+use std::mem::size_of;
 
 /// Aggregate statistics of a store, for capacity and GC reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -11,6 +12,27 @@ pub struct StoreStats {
     pub versions: usize,
     /// Total versions removed by garbage collection since creation.
     pub collected: u64,
+    /// Chains holding two or more versions: the only ones that own an
+    /// allocation, and the only ones a GC pass visits.
+    pub multi_version_chains: usize,
+    /// Heap bytes the store holds: the key map's buckets (a slot of key
+    /// and inline chain plus a control byte each, at the standard table's
+    /// 8 buckets per 7 usable entries), every multi-version chain's
+    /// `capacity × size_of::<V>()`, and the multi-version list. Computed
+    /// from capacities rather than asked of the allocator, so its
+    /// per-allocation headers, and whatever the versions point to (a
+    /// `Bytes` payload), are not in it.
+    pub heap_bytes: usize,
+}
+
+impl std::ops::AddAssign for StoreStats {
+    fn add_assign(&mut self, other: StoreStats) {
+        self.keys += other.keys;
+        self.versions += other.versions;
+        self.collected += other.collected;
+        self.multi_version_chains += other.multi_version_chains;
+        self.heap_bytes += other.heap_bytes;
+    }
 }
 
 /// One partition's worth of multi-versioned data: a map from key to
@@ -21,18 +43,30 @@ pub struct StoreStats {
 ///
 /// The map hashes with [`FxHasher`](crate::FxHasher) rather than the
 /// standard library's SipHash: keys are workload integers, and the read
-/// path is the system's hottest loop. The retained-version count is
-/// maintained incrementally on [`insert`](MvStore::insert) /
-/// [`collect`](MvStore::collect), so [`stats`](MvStore::stats) is O(1)
-/// instead of a scan over every chain.
+/// path is the system's hottest loop. A key with one version lives
+/// entirely in its map slot (see [`VersionChain`]'s layout notes), so
+/// reading it is one probe.
+///
+/// Everything [`stats`](MvStore::stats) reports is maintained
+/// incrementally by the mutators, so it is O(1) instead of a scan over
+/// every chain — and so is the **multi-version list**, the keys of the
+/// chains holding ≥ 2 versions, which is all
+/// [`collect`](MvStore::collect) walks.
 #[derive(Clone, Debug)]
 pub struct MvStore<K, V> {
     chains: HashMap<K, VersionChain<V>, FxBuildHasher>,
+    /// The keys of exactly the chains with ≥ 2 versions, each once. A
+    /// key enters when a mutator takes its chain from one version to
+    /// more (`grow_chain`) and leaves in the `collect` pass that takes
+    /// it back to one; nothing else changes a chain's length.
+    multi: Vec<K>,
     versions: usize,
     collected: u64,
+    /// Sum of the chains' heap capacities, in versions.
+    chain_slots: usize,
     /// Reusable buffer for one key's run during [`apply_batch`]
-    /// (capacity survives across calls, so steady-state batch apply
-    /// allocates nothing).
+    /// (capacity survives across calls: a batch allocates only where a
+    /// chain grows).
     ///
     /// [`apply_batch`]: MvStore::apply_batch
     run_scratch: Vec<V>,
@@ -42,8 +76,10 @@ impl<K, V> Default for MvStore<K, V> {
     fn default() -> Self {
         MvStore {
             chains: HashMap::default(),
+            multi: Vec::new(),
             versions: 0,
             collected: 0,
+            chain_slots: 0,
             run_scratch: Vec::new(),
         }
     }
@@ -55,10 +91,31 @@ impl<K: Eq + Hash + Clone, V: Versioned> MvStore<K, V> {
         MvStore::default()
     }
 
+    /// Runs the chain mutator `f` on `key`'s chain (created if absent),
+    /// then brings the version count, the heap accounting and the
+    /// multi-version list up to date with what it did. `f` adds versions
+    /// or leaves the chain alone; it never empties or shortens it.
+    fn grow_chain<R>(&mut self, key: K, f: impl FnOnce(&mut VersionChain<V>) -> R) -> R {
+        let mut slot = match self.chains.entry(key) {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(slot) => slot.insert_entry(VersionChain::new()),
+        };
+        let chain = slot.get_mut();
+        let (len, slots) = (chain.len(), chain.heap_slots());
+        let r = f(chain);
+        let (new_len, new_slots) = (chain.len(), chain.heap_slots());
+        debug_assert!(new_len >= len.max(1), "a chain mutator only adds versions");
+        self.versions += new_len - len;
+        self.chain_slots = self.chain_slots + new_slots - slots;
+        if len < 2 && new_len >= 2 {
+            self.multi.push(slot.key().clone());
+        }
+        r
+    }
+
     /// Inserts a new version of `key`.
     pub fn insert(&mut self, key: K, version: V) {
-        self.chains.entry(key).or_default().insert(version);
-        self.versions += 1;
+        self.grow_chain(key, |chain| chain.insert(version));
     }
 
     /// Applies a batch of versions, splicing each key's run into its
@@ -92,13 +149,12 @@ impl<K: Eq + Hash + Clone, V: Versioned> MvStore<K, V> {
                 run.push(v);
             } else {
                 let done_key = std::mem::replace(&mut cur_key, k);
-                self.chains.entry(done_key).or_default().apply_batch(&mut run);
+                self.grow_chain(done_key, |chain| chain.apply_batch(&mut run));
                 run.push(v);
             }
         }
-        self.chains.entry(cur_key).or_default().apply_batch(&mut run);
+        self.grow_chain(cur_key, |chain| chain.apply_batch(&mut run));
         self.run_scratch = run;
-        self.versions += applied;
         applied
     }
 
@@ -107,11 +163,7 @@ impl<K: Eq + Hash + Clone, V: Versioned> MvStore<K, V> {
     /// whether the insert happened. Used by WAL replay, which may
     /// re-apply already-applied replication records.
     pub fn insert_if_new(&mut self, key: K, version: V) -> bool {
-        let inserted = self.chains.entry(key).or_default().insert_if_new(version);
-        if inserted {
-            self.versions += 1;
-        }
-        inserted
+        self.grow_chain(key, |chain| chain.insert_if_new(version))
     }
 
     /// The newest version of `key` inside the snapshot `bound`, or `None`
@@ -130,28 +182,62 @@ impl<K: Eq + Hash + Clone, V: Versioned> MvStore<K, V> {
         self.chains.get(key)
     }
 
-    /// Runs garbage collection over every chain with the oldest-active-
-    /// snapshot bound (see [`VersionChain::collect`]). Chains already at
-    /// length ≤ 1 are skipped outright. Returns the number of versions
-    /// removed by this call.
+    /// Runs garbage collection with the oldest-active-snapshot bound
+    /// (see [`VersionChain::collect`]) over the chains that can shrink:
+    /// the rule always keeps a chain's newest version, so a pass walks
+    /// the multi-version list and never looks at a single-version key.
+    /// Its cost follows the keys written since they were last
+    /// collectable, not the key count, and a store without a
+    /// multi-version chain returns at once. A chain the pass leaves
+    /// with one version drops off the list (and gives its allocation
+    /// back); one it cannot shorten yet — nothing at or below the bound
+    /// — stays listed for the next pass. The outcome is what a sweep of
+    /// every chain would produce. Returns the number of versions removed
+    /// by this call.
     pub fn collect(&mut self, oldest_snapshot: &SnapshotBound<'_>) -> usize {
+        let MvStore {
+            chains,
+            multi,
+            chain_slots,
+            ..
+        } = self;
         let mut removed = 0;
-        for chain in self.chains.values_mut() {
-            if chain.len() > 1 {
-                removed += chain.collect(oldest_snapshot);
-            }
-        }
+        multi.retain(|key| {
+            let chain = chains.get_mut(key).expect("a listed key has a chain");
+            let slots = chain.heap_slots();
+            removed += chain.collect(oldest_snapshot);
+            *chain_slots = *chain_slots + chain.heap_slots() - slots;
+            chain.len() >= 2
+        });
         self.versions -= removed;
         self.collected += removed as u64;
         removed
     }
 
+    /// The keys of the chains holding two or more versions — each
+    /// exactly once, in no particular order. This is the list
+    /// [`collect`](MvStore::collect) walks; an empty one means a GC pass
+    /// has nothing to do here.
+    pub fn multi_version_keys(&self) -> &[K] {
+        &self.multi
+    }
+
     /// Current statistics (O(1): counters are maintained incrementally).
     pub fn stats(&self) -> StoreStats {
+        // The standard table allocates a power-of-two number of buckets
+        // and reports 7/8 of them as its capacity.
+        let buckets = match self.chains.capacity() {
+            0 => 0,
+            usable => (usable * 8 / 7).next_power_of_two(),
+        };
         StoreStats {
             keys: self.chains.len(),
             versions: self.versions,
             collected: self.collected,
+            multi_version_chains: self.multi.len(),
+            heap_bytes: buckets * (size_of::<(K, VersionChain<V>)>() + 1)
+                + self.chain_slots * size_of::<V>()
+                + self.multi.capacity() * size_of::<K>(),
         }
     }
 
@@ -231,6 +317,68 @@ mod tests {
             // The incremental count must equal a full recount.
             let recount: usize = s.iter().map(|(_, c)| c.len()).sum();
             assert_eq!(stats.versions, recount, "round {round}");
+        }
+    }
+
+    /// The incremental books against a recount, after every step of a
+    /// scripted mix of all three mutators and GC at rising, stalled and
+    /// below-everything watermarks: versions, heap slots, and the
+    /// multi-version list (exactly the chains with ≥ 2 versions, once).
+    #[test]
+    fn incremental_books_equal_a_recount_after_every_step() {
+        fn audit(s: &MvStore<u64, V>, step: &str) {
+            let stats = s.stats();
+            assert_eq!(stats.versions, s.iter().map(|(_, c)| c.len()).sum::<usize>(), "{step}");
+            assert_eq!(
+                s.chain_slots,
+                s.iter().map(|(_, c)| c.heap_slots()).sum::<usize>(),
+                "{step}"
+            );
+            let mut listed = s.multi_version_keys().to_vec();
+            listed.sort_unstable();
+            let mut multi: Vec<u64> =
+                s.iter().filter(|(_, c)| c.len() >= 2).map(|(k, _)| *k).collect();
+            multi.sort_unstable();
+            assert_eq!(listed, multi, "{step}");
+            assert_eq!(stats.multi_version_chains, multi.len(), "{step}");
+            assert!(stats.heap_bytes >= s.chain_slots * size_of::<V>(), "{step}");
+        }
+
+        let mut s: MvStore<u64, V> = MvStore::new();
+        for round in 0u64..6 {
+            let base = round * 100;
+            for k in 0..8u64 {
+                s.insert(k, V(base + k));
+                audit(&s, "insert");
+            }
+            // Hot keys take a burst; one key sees re-deliveries only.
+            for i in 0..20u64 {
+                s.insert(round % 3, V(base + 10 + i));
+            }
+            audit(&s, "burst");
+            assert!(!s.insert_if_new(7, V(base + 7)));
+            assert!(s.insert_if_new(6, V(base + 50)));
+            audit(&s, "insert_if_new");
+            let mut batch: Vec<(u64, V)> =
+                (0..4u64).flat_map(|k| [(k + 20 * round, V(base + 60)), (k, V(base + 61))]).collect();
+            s.apply_batch(&mut batch);
+            audit(&s, "apply_batch");
+            // Below everything: nothing goes, every chain stays listed.
+            let listed = s.stats().multi_version_chains;
+            assert_eq!(s.collect(&SnapshotBound::at_most(Timestamp::ZERO)), 0);
+            assert_eq!(s.stats().multi_version_chains, listed);
+            audit(&s, "collect below everything");
+            // Mid-round: part of the burst goes, its chain stays listed.
+            assert!(s.collect(&at_most(base + 20)) > 0);
+            audit(&s, "collect mid-round");
+            if round % 2 == 1 {
+                // Above everything: every chain back to one version.
+                s.collect(&SnapshotBound::all());
+                audit(&s, "collect all");
+                assert_eq!(s.stats().multi_version_chains, 0);
+                assert_eq!(s.chain_slots, 0);
+                assert_eq!(s.stats().versions, s.stats().keys);
+            }
         }
     }
 

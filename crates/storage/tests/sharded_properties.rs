@@ -1,6 +1,6 @@
 //! Property tests for the striped store and the batched write path.
 //!
-//! Two oracles:
+//! Three oracles:
 //!
 //! * **sharded vs flat** — a [`ShardedStore`] fed the same inserts,
 //!   batch applies and GC sweeps as a flat [`MvStore`] must be
@@ -9,11 +9,20 @@
 //! * **batched vs one-at-a-time** — `apply_batch` must leave every chain
 //!   exactly as repeated `insert` calls would, including
 //!   commit-timestamp ties (the replication case: a batch shares one
-//!   commit timestamp, ties resolved by `(dc, tx)`).
+//!   commit timestamp, ties resolved by `(dc, tx)`);
+//! * **listed GC vs the full sweep** — GC walks only the chains on the
+//!   stores' multi-version lists. Under random interleavings of every
+//!   mutator and `collect`, that list must hold exactly the chains with
+//!   two or more versions, and the stores must equal a model that
+//!   sweeps *every* chain with the linear oracle.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use wren_clock::Timestamp;
-use wren_storage::{MvStore, ShardedStore, SnapshotBound, VersionChain, Versioned};
+use wren_storage::{
+    ConcurrentShardedStore, MvStore, ShardedStore, SnapshotBound, StoreStats, VersionChain,
+    Versioned,
+};
 
 #[derive(Clone, Debug, PartialEq)]
 struct V {
@@ -69,7 +78,232 @@ fn assert_same_contents(a: &ShardedStore<u64, V>, b: &MvStore<u64, V>) {
     }
 }
 
+/// One step of a store's write-side life.
+#[derive(Clone, Debug)]
+enum Op {
+    Insert(u64, V),
+    InsertIfNew(u64, V),
+    /// `insert_if_new` of the `n`-th (modulo) version written so far: a
+    /// re-delivery, which must change nothing.
+    Redeliver(usize),
+    /// A replication-shaped batch: one commit timestamp, one origin DC.
+    ApplyBatch(Vec<(u64, V)>),
+    /// `collect` at `at_most(a)` / `bist(dc, a, b)` / `all()`.
+    Collect { shape: u8, dc: u8, a: u64, b: u64 },
+}
+
+/// The bound an [`Op::Collect`] names.
+fn collect_bound(shape: u8, dc: u8, a: u64, b: u64) -> SnapshotBound<'static> {
+    match shape {
+        0 => SnapshotBound::at_most(ts(a)),
+        1 => SnapshotBound::bist(dc, ts(a), ts(b)),
+        _ => SnapshotBound::all(),
+    }
+}
+
+/// Commit timestamps start at 1 so that a bound of 0 lies below every
+/// version (GC may then drop nothing, and every chain stays listed).
+/// Transaction ids are `random high bits | unique low bits`: unique, as
+/// in the real system, yet ordered by the random part — so a batch's
+/// run can straddle same-ct entries that are already in the chain.
+fn arb_ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
+    let version = || {
+        (1u64..20, 0u8..3, 0u64..8, 0u64..20)
+            .prop_map(|(ct, sr, tx, rdt)| V { ct, sr, tx: tx << 32, rdt: rdt.min(ct) })
+    };
+    let op = prop_oneof![
+        (0u64..12, version()).prop_map(|(k, v)| Op::Insert(k, v)),
+        (0u64..12, version()).prop_map(|(k, v)| Op::InsertIfNew(k, v)),
+        (0usize..64).prop_map(Op::Redeliver),
+        (version(), proptest::collection::vec((0u64..4, 0u64..8), 1..12)).prop_map(|(v, run)| {
+            Op::ApplyBatch(
+                run.into_iter()
+                    .map(|(k, tx)| (k, V { tx: tx << 32, ..v.clone() }))
+                    .collect(),
+            )
+        }),
+        // Watermarks from below every version (0) to above all (≥ 20).
+        (0u8..3, 0u8..3, 0u64..24, 0u64..24)
+            .prop_map(|(shape, dc, a, b)| Op::Collect { shape, dc, a, b }),
+        (0u8..2, 0u8..3, 0u64..1, 0u64..1)
+            .prop_map(|(shape, dc, a, b)| Op::Collect { shape, dc, a, b }),
+    ];
+    proptest::collection::vec(op, 1..max).prop_map(|mut ops| {
+        let mut seq = 0u64;
+        let mut unique = |v: &mut V| {
+            v.tx |= seq;
+            seq += 1;
+        };
+        for op in &mut ops {
+            match op {
+                Op::Insert(_, v) | Op::InsertIfNew(_, v) => unique(v),
+                Op::ApplyBatch(items) => items.iter_mut().for_each(|(_, v)| unique(v)),
+                Op::Redeliver(_) | Op::Collect { .. } => {}
+            }
+        }
+        ops
+    })
+}
+
+/// The reference: plain sorted vectors, and a GC that visits **every**
+/// chain and tests **every** version against the bound.
+#[derive(Default)]
+struct SweepModel {
+    chains: BTreeMap<u64, Vec<V>>,
+    collected: u64,
+}
+
+impl SweepModel {
+    fn insert_if_new(&mut self, k: u64, v: V) -> bool {
+        let chain = self.chains.entry(k).or_default();
+        if chain.iter().any(|e| e.order_key() == v.order_key()) {
+            return false;
+        }
+        chain.push(v);
+        chain.sort_by_key(Versioned::order_key);
+        true
+    }
+
+    fn collect(&mut self, bound: &SnapshotBound<'_>) -> usize {
+        let mut removed = 0;
+        for chain in self.chains.values_mut() {
+            let newest_visible = chain
+                .iter()
+                .filter(|v| bound.admits(&v.order_key(), v.remote_dep()))
+                .map(Versioned::order_key)
+                .max();
+            if let Some(keep_from) = newest_visible {
+                let before = chain.len();
+                chain.retain(|v| v.order_key() >= keep_from);
+                removed += before - chain.len();
+            }
+        }
+        self.collected += removed as u64;
+        removed
+    }
+}
+
+/// What a store shows of itself, gathered stripe by stripe.
+#[derive(Default, Debug)]
+struct Observed {
+    chains: BTreeMap<u64, Vec<(Timestamp, u8, u64)>>,
+    listed: Vec<u64>,
+    stats: StoreStats,
+}
+
+impl Observed {
+    fn absorb(&mut self, stripe: &MvStore<u64, V>) {
+        for (k, chain) in stripe.iter() {
+            let mut keys = chain_keys(chain);
+            keys.reverse(); // oldest first, like the model
+            assert_eq!(keys.len(), chain.len());
+            assert!(self.chains.insert(*k, keys).is_none(), "key {k} in two stripes");
+        }
+        self.listed.extend_from_slice(stripe.multi_version_keys());
+        self.stats += stripe.stats();
+    }
+
+    /// (i) the multi-version list is exactly the chains with ≥ 2
+    /// versions, each once; (ii) chains and counters equal the model's.
+    fn assert_matches(mut self, model: &SweepModel, total: StoreStats, step: &Op) {
+        let expect: BTreeMap<u64, Vec<_>> = model
+            .chains
+            .iter()
+            .map(|(k, c)| (*k, c.iter().map(Versioned::order_key).collect()))
+            .collect();
+        assert_eq!(self.chains, expect, "after {step:?}");
+        self.listed.sort_unstable();
+        let multi: Vec<u64> = expect
+            .iter()
+            .filter(|(_, c)| c.len() >= 2)
+            .map(|(k, _)| *k)
+            .collect();
+        assert_eq!(self.listed, multi, "multi-version list after {step:?}");
+        assert_eq!(self.stats, total, "stripe rollup after {step:?}");
+        assert_eq!(total.keys, expect.len());
+        assert_eq!(total.versions, expect.values().map(Vec::len).sum::<usize>());
+        assert_eq!(total.collected, model.collected);
+        assert_eq!(total.multi_version_chains, multi.len());
+    }
+}
+
 proptest! {
+    /// GC by the multi-version list equals the full sweep, and the list
+    /// is exact after every step — through the flat store and both
+    /// striped ones, for every mutator and every bound shape.
+    #[test]
+    fn listed_gc_equals_the_full_sweep(ops in arb_ops(48), stripes in 1usize..10) {
+        let mut model = SweepModel::default();
+        let mut flat: MvStore<u64, V> = MvStore::new();
+        let mut sharded: ShardedStore<u64, V> = ShardedStore::with_stripes(stripes);
+        let concurrent: ConcurrentShardedStore<u64, V> =
+            ConcurrentShardedStore::with_stripes(stripes);
+        let mut written: Vec<(u64, V)> = Vec::new();
+        for op in &ops {
+            match op {
+                Op::Insert(k, v) => {
+                    prop_assert!(model.insert_if_new(*k, v.clone()), "ids are unique");
+                    flat.insert(*k, v.clone());
+                    sharded.insert(*k, v.clone());
+                    concurrent.insert(*k, v.clone());
+                    written.push((*k, v.clone()));
+                }
+                Op::InsertIfNew(k, v) => {
+                    prop_assert!(model.insert_if_new(*k, v.clone()));
+                    prop_assert!(flat.insert_if_new(*k, v.clone()));
+                    // (`ShardedStore` has no `insert_if_new`: replay runs
+                    // on the concurrent store.)
+                    sharded.insert(*k, v.clone());
+                    prop_assert!(concurrent.insert_if_new(*k, v.clone()));
+                    written.push((*k, v.clone()));
+                }
+                Op::Redeliver(n) => {
+                    if written.is_empty() {
+                        continue;
+                    }
+                    // The version may have been collected since: the
+                    // model says whether the store still holds it.
+                    let (k, v) = written[n % written.len()].clone();
+                    let fresh = model.insert_if_new(k, v.clone());
+                    prop_assert_eq!(flat.insert_if_new(k, v.clone()), fresh);
+                    prop_assert_eq!(concurrent.insert_if_new(k, v.clone()), fresh);
+                    if fresh {
+                        sharded.insert(k, v);
+                    }
+                }
+                Op::ApplyBatch(items) => {
+                    for (k, v) in items {
+                        prop_assert!(model.insert_if_new(*k, v.clone()));
+                        written.push((*k, v.clone()));
+                    }
+                    prop_assert_eq!(flat.apply_batch(&mut items.clone()), items.len());
+                    prop_assert_eq!(sharded.apply_batch(&mut items.clone()), items.len());
+                    prop_assert_eq!(concurrent.apply_batch(&mut items.clone()), items.len());
+                }
+                Op::Collect { shape, dc, a, b } => {
+                    let bound = collect_bound(*shape, *dc, *a, *b);
+                    let removed = model.collect(&bound);
+                    prop_assert_eq!(flat.collect(&bound), removed, "flat, {:?}", op);
+                    prop_assert_eq!(sharded.collect(&bound), removed, "sharded, {:?}", op);
+                    prop_assert_eq!(concurrent.collect(&bound), removed, "concurrent, {:?}", op);
+                }
+            }
+            let mut seen = Observed::default();
+            seen.absorb(&flat);
+            seen.assert_matches(&model, flat.stats(), op);
+            let mut seen = Observed::default();
+            for i in 0..sharded.n_stripes() {
+                seen.absorb(sharded.stripe(i));
+            }
+            seen.assert_matches(&model, sharded.stats(), op);
+            let mut seen = Observed::default();
+            for i in 0..concurrent.n_stripes() {
+                concurrent.with_stripe(i, |stripe| seen.absorb(stripe));
+            }
+            seen.assert_matches(&model, concurrent.stats(), op);
+        }
+    }
+
     /// Sharded and flat stores agree on every read, under every bound
     /// shape, for the same random insert sequence.
     #[test]

@@ -11,7 +11,9 @@ use bytes::Bytes;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use wren::protocol::Key;
+use wren::clock::{SkewedClock, Timestamp};
+use wren::core::{WrenConfig, WrenServer};
+use wren::protocol::{DcId, Key, ServerId, TxId, WrenVersion};
 use wren::rt::{Cluster, ClusterBuilder, FsyncPolicy, TxEvent};
 
 fn bval(i: u64) -> Bytes {
@@ -82,6 +84,8 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
         .fsync(FsyncPolicy::Always)
         .replication_tick(Duration::from_millis(1))
         .gossip_tick(Duration::from_millis(2))
+        // Several GC ticks inside even the fastest run.
+        .gc_tick(Duration::from_millis(5))
         // Exercise the delta-logger thread too (output goes to stderr;
         // the assertion is that it runs and stops cleanly).
         .metrics_every(Duration::from_millis(50))
@@ -89,7 +93,17 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
 
     let before = cluster.metrics();
     drive(&cluster);
-    let snap = cluster.metrics();
+    // The store gauges are as of a partition's last GC tick: wait for
+    // one that has seen the writes.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let snap = loop {
+        let snap = cluster.metrics();
+        if snap.gauges.get("store_versions").is_some_and(|v| *v > 0) {
+            break snap;
+        }
+        assert!(Instant::now() < deadline, "no GC tick published the store gauges");
+        std::thread::sleep(Duration::from_millis(2));
+    };
 
     // Engine hot paths, merged across partitions (unprefixed names).
     for h in [
@@ -110,6 +124,8 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
         "replication_batch_txs",
         "visibility_lag_local_micros",
         "visibility_lag_remote_micros",
+        // One sample per GC tick, whether or not it found work.
+        "gc_tick_micros",
         // Session-side operation latencies.
         "session_begin_micros",
         "session_read_micros",
@@ -128,6 +144,13 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
     assert_eq!(snap.counter("tcp_dropped_frames"), 0, "healthy run dropped frames");
     assert!(snap.counter("slices_served") > 0, "no slices served");
     assert!(snap.counter("keys_read") > 0, "no keys read");
+    // What the stores hold (a merged gauge is the largest partition's):
+    // the run's 8 keys are spread over 2 partitions.
+    for g in ["store_keys", "store_versions", "store_heap_bytes"] {
+        assert!(snap.gauges.get(g).is_some_and(|v| *v > 0), "gauge {g} unset: {:?}", snap.gauges);
+    }
+    assert!(snap.gauges.contains_key("store_multi_version_chains"));
+    assert!(snap.gauges["store_keys"] <= 8, "{:?}", snap.gauges);
     // `Always` syncs at the commit point itself: nothing ever waits in
     // the engines' hold set (the Window twin of this is below).
     assert_eq!(
@@ -160,12 +183,75 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
         "wal_fsync_micros_count",
         "# TYPE tcp_frames_out counter",
         "session_commit_micros{quantile=\"0.5\"}",
+        "gc_tick_micros_count",
+        "# TYPE gc_versions_removed counter",
+        "# TYPE store_keys gauge",
+        "# TYPE store_versions gauge",
+        "# TYPE store_multi_version_chains gauge",
+        "# TYPE store_heap_bytes gauge",
     ] {
         assert!(page.contains(needle), "exposition page lacks {needle:?}:\n{page}");
     }
 
     cluster.stop();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The GC and store series agree with their sources: after a preload,
+/// an overwrite and a GC round, the four `store_*` gauges are exactly
+/// `store().stats()` and `gc_versions_removed` is exactly
+/// `ServerStats::gc_versions_removed` — also when a round finds chains
+/// it cannot shorten yet, which must stay counted as multi-version.
+#[test]
+fn gc_and_store_series_agree_with_store_stats() {
+    let mut server = WrenServer::new(ServerId::new(0, 0), WrenConfig::new(1, 1), SkewedClock::perfect());
+    let write = |server: &WrenServer, keys: std::ops::Range<u64>, ut: u64| {
+        for k in keys {
+            server.store().insert(
+                Key(k),
+                WrenVersion {
+                    value: bval(k),
+                    ut: Timestamp::from_micros(ut),
+                    rdt: Timestamp::ZERO,
+                    tx: TxId::from_raw(ut),
+                    sr: DcId(0),
+                },
+            );
+        }
+    };
+    let assert_series_agree = |server: &WrenServer, ticks: u64| {
+        let snap = server.registry().snapshot();
+        let store = server.store().stats();
+        assert_eq!(snap.gauges["store_keys"], store.keys as u64);
+        assert_eq!(snap.gauges["store_versions"], store.versions as u64);
+        assert_eq!(snap.gauges["store_multi_version_chains"], store.multi_version_chains as u64);
+        assert_eq!(snap.gauges["store_heap_bytes"], store.heap_bytes as u64);
+        assert_eq!(snap.counter("gc_versions_removed"), server.stats().gc_versions_removed);
+        assert_eq!(snap.counter("gc_versions_removed"), store.collected);
+        assert_eq!(snap.histogram("gc_tick_micros").map_or(0, |h| h.count), ticks);
+    };
+
+    // Preload 1 000 keys, overwrite 200 of them, declare both stable.
+    write(&server, 0..1_000, 1);
+    write(&server, 0..200, 10);
+    server.store().publish_stable(Timestamp::from_micros(100), Timestamp::from_micros(50));
+    let mut out = Vec::new();
+    assert_eq!(server.on_gc_tick(0, &mut out), 200);
+    assert_series_agree(&server, 1);
+    let store = server.store().stats();
+    assert_eq!((store.keys, store.versions, store.multi_version_chains), (1_000, 1_000, 0));
+
+    // Overwrites above the stable cut: the next round may drop nothing,
+    // and the 50 chains stay multi-version.
+    write(&server, 0..50, 500);
+    assert_eq!(server.on_gc_tick(0, &mut out), 0);
+    assert_series_agree(&server, 2);
+    assert_eq!(server.store().stats().multi_version_chains, 50);
+    assert_eq!(server.stats().gc_versions_removed, 200);
+
+    let page = server.registry().snapshot().render_prometheus();
+    assert!(page.contains("store_multi_version_chains 50"), "{page}");
+    assert!(page.contains("gc_versions_removed 200"), "{page}");
 }
 
 /// The held-ack wait is a series: under `FsyncPolicy::Window` the
