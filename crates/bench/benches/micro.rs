@@ -426,18 +426,19 @@ fn reframe(payload: &[u8]) -> bytes::Bytes {
     bytes::Bytes::from(out)
 }
 
-/// Framed request→response over loopback through each socket fabric:
-/// the full per-operation transport bill — encode, frame, write(2),
+/// Framed request→response over loopback through the reactor: the
+/// full per-operation transport bill — encode, frame, write(2),
 /// wakeup, decode, re-frame, write back, read back — that a session
-/// pays on every server round trip. `threaded_roundtrip` drives the
-/// per-connection-thread pieces (`FramedReader` + `Outbox`);
-/// `reactor_roundtrip` the epoll reactor. Same message as
-/// `codec_frame_roundtrip`, so (roundtrip − 2×frame-cost) isolates the
-/// thread-topology overhead.
+/// pays on every server round trip. `reactor_roundtrip` runs the epoll
+/// backend and `uring_roundtrip` (below, when the kernel offers it) the
+/// io_uring one. The message is the one `codec_frame_roundtrip`
+/// measures, so that bench is the framing-cost baseline:
+/// (roundtrip − 2×`codec_frame_roundtrip`) isolates what the sockets,
+/// wakeups and syscalls cost.
 fn bench_transport(c: &mut Criterion) {
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
-    use wren_net::{ConnHandle, FramedReader, Outbox, Reactor, ReactorHandler};
+    use wren_net::{ConnHandle, FramedReader, Reactor, ReactorHandler};
     use wren_protocol::frame::frame_wren;
 
     let msg = WrenMsg::SliceResp {
@@ -446,34 +447,6 @@ fn bench_transport(c: &mut Criterion) {
             .map(|i| (Key(i), Some(sample_version(i * 5))))
             .collect(),
     };
-
-    c.bench_function("threaded_roundtrip", |b| {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            stream.set_nodelay(true).unwrap();
-            let (outbox, writer) =
-                Outbox::spawn(stream.try_clone().unwrap(), 16 * 1024 * 1024).unwrap();
-            let mut reader = FramedReader::new(stream);
-            while let Ok(Some(payload)) = reader.next_frame() {
-                outbox.enqueue(reframe(&payload));
-            }
-            outbox.close();
-            writer.join().unwrap();
-        });
-        let mut write = TcpStream::connect(addr).unwrap();
-        write.set_nodelay(true).unwrap();
-        let mut reader = FramedReader::new(write.try_clone().unwrap());
-        b.iter(|| {
-            write.write_all(&frame_wren(&msg)).unwrap();
-            let payload = reader.next_frame().unwrap().expect("echo");
-            black_box(WrenMsg::decode(&payload).unwrap())
-        });
-        drop(write);
-        drop(reader);
-        server.join().unwrap();
-    });
 
     struct Echo;
     impl ReactorHandler for Echo {

@@ -1677,11 +1677,12 @@ impl WrenServer {
         }
     }
 
-    /// Reacts to a broken live TCP link carrying traffic *from* `peer`:
-    /// frames in flight on it — replication batches and heartbeats from
-    /// a sibling — died with the connection, and silently resuming on a
-    /// fresh connection would let a later heartbeat vouch for versions
-    /// this server never received. For a sibling replica the lane is
+    /// Reacts to a broken live TCP link carrying traffic *from* `peer`,
+    /// or to a fresh one (whose predecessor may have died unseen, before
+    /// its handshake arrived): frames in flight on the old link —
+    /// replication batches and heartbeats from a sibling — died with the
+    /// connection, and silently resuming on a fresh connection would let
+    /// a later heartbeat vouch for versions this server never received. For a sibling replica the lane is
     /// therefore frozen and re-asked exactly as a restart does
     /// ([`begin_rejoin`](Self::begin_rejoin)); links from same-DC peers
     /// need no reaction — 2PC votes are re-sent periodically, slices

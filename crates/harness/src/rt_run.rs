@@ -1,22 +1,18 @@
-//! Closed-loop driver for the **threaded** runtime cluster.
+//! Closed-loop driver for the real runtime cluster (`wren-rt`).
 //!
 //! The simulator harness ([`run`](crate::run)) reproduces the paper's
 //! figures under a modeled network; this driver measures the *real*
-//! runtime (`wren-rt`) end to end — threads, sockets, kernel — in
-//! either transport:
+//! runtime end to end — OS threads, sockets, kernel — on each of its
+//! three transports:
 //!
 //! * [`RtTransport::Channel`] — in-process crossbeam channels (the
 //!   zero-copy upper bound);
 //! * [`RtTransport::Tcp`] — loopback TCP with length-prefixed framed
-//!   sessions served by the epoll **reactor** fabric (fixed thread
-//!   pool), so the measured cost includes encode/frame/syscall/decode
+//!   sessions served by the reactor fabric (fixed thread pool) on
+//!   epoll, so the measured cost includes encode/frame/syscall/decode
 //!   on **every** protocol hop, exactly what separate processes would
 //!   pay;
-//! * [`RtTransport::TcpThreaded`] — the same wire protocol on the
-//!   two-threads-per-connection fabric, isolating what the thread
-//!   topology (context switches vs. event loops) costs at a given
-//!   connection count;
-//! * [`RtTransport::TcpUring`] — the reactor fabric on the io_uring
+//! * [`RtTransport::TcpUring`] — the same fabric on the io_uring
 //!   backend, isolating what the syscall interface costs at the same
 //!   thread topology.
 //!
@@ -43,16 +39,13 @@ pub enum RtTransport {
     /// Loopback TCP: framed sessions over real sockets, served by the
     /// epoll reactor fabric (fixed thread pool).
     Tcp,
-    /// Loopback TCP on the threaded fabric (one reader + one writer
-    /// thread per connection) — the reactor's baseline.
-    TcpThreaded,
     /// Loopback TCP on the reactor fabric's io_uring backend (falls
     /// back to epoll where the kernel lacks it — check
     /// `wren_net::uring::available()` before attributing numbers).
     TcpUring,
 }
 
-/// A closed-loop workload against the threaded runtime.
+/// A closed-loop workload against the runtime cluster.
 #[derive(Debug, Clone)]
 pub struct RtSpec {
     /// Data centers.
@@ -129,7 +122,6 @@ pub fn run_rt(spec: &RtSpec) -> RtRunResult {
     match spec.transport {
         RtTransport::Channel => {}
         RtTransport::Tcp => builder = builder.tcp(),
-        RtTransport::TcpThreaded => builder = builder.tcp_threaded(),
         RtTransport::TcpUring => builder = builder.tcp().backend(Backend::Uring),
     }
     let mut wal_dir = None;

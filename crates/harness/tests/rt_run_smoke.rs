@@ -1,5 +1,5 @@
-//! Smoke for the threaded-runtime driver: both transports complete a
-//! small closed-loop workload and report sane numbers.
+//! Smoke for the runtime driver: every transport completes a small
+//! closed-loop workload and reports sane numbers.
 
 use wren_harness::{run_rt, RtSpec, RtTransport};
 
@@ -30,14 +30,6 @@ fn rt_run_channel_smoke() {
 #[test]
 fn rt_run_tcp_smoke() {
     let result = run_rt(&small(RtTransport::Tcp));
-    assert_eq!(result.txs, 80);
-    assert!(result.throughput > 0.0);
-    assert!(result.mean_latency_ms > 0.0);
-}
-
-#[test]
-fn rt_run_tcp_threaded_smoke() {
-    let result = run_rt(&small(RtTransport::TcpThreaded));
     assert_eq!(result.txs, 80);
     assert!(result.throughput > 0.0);
     assert!(result.mean_latency_ms > 0.0);

@@ -9,19 +9,16 @@
 //! frame   (wren-protocol::frame)  bytes ⇄ message boundaries.
 //!   FrameDecoder is push-based: feed it whatever chunks arrive,
 //!   drain complete payloads. It never touches a socket.
-//! outbox  (this crate)            who may write, and when.
-//!   A bounded send queue per connection; protocol threads enqueue
-//!   in O(1) and never call write(2). A peer that stops reading
-//!   backs its queue past the cap and is severed.
 //! writev  (this crate)            how many frames per syscall.
-//!   Both drains batch queued frames into one writev(2) — the
-//!   gather/settle arithmetic (partial writes resuming mid-frame)
-//!   lives in its own socket-free module under property test.
-//! reactor (this crate)            which thread does the I/O.
-//!   Either one reader + one writer thread per connection
-//!   (Outbox/FramedReader, the threaded fabric) or a fixed pool of
-//!   event loops serving every fd (Reactor) — same frames,
-//!   same outbox contract, different thread topology.
+//!   Both backends batch queued frames into one vectored write —
+//!   the gather/settle arithmetic (partial writes resuming
+//!   mid-frame) lives in its own socket-free module under property
+//!   test.
+//! reactor (this crate)            which thread does the I/O, and when.
+//!   A fixed pool of event loops serves every fd (Reactor). Each
+//!   connection has a bounded send queue (ConnHandle): protocol
+//!   threads enqueue in O(1) and never call write(2); a peer that
+//!   stops reading backs its queue past the cap and is severed.
 //! backend (this crate)            which syscalls move the bytes.
 //!   The reactor's loop body is pluggable: readiness-driven epoll
 //!   (poll.rs: epoll_wait, then read/writev per ready fd) or
@@ -47,14 +44,11 @@
 //!   dialing peer (a client session or a partition server), so the
 //!   accepting side can attribute every subsequent frame to a protocol
 //!   source without per-message envelopes;
-//! * [`Outbox`] — a bounded, **never-blocking** per-connection send
-//!   queue drained by a dedicated writer thread. A partition's writer
-//!   thread or read worker enqueues a framed response in O(1) and moves
-//!   on; a client that stops reading fills its own outbox and gets
-//!   disconnected — it can never stall the partition;
 //! * [`FramedReader`] — blocking framed reads over a [`TcpStream`],
 //!   reassembling length-prefixed frames from arbitrary chunk
-//!   boundaries via [`wren_protocol::frame::FrameDecoder`];
+//!   boundaries via [`wren_protocol::frame::FrameDecoder`]: the
+//!   receive side of a client session, which blocks on one response
+//!   at a time;
 //! * [`poll`] — a minimal safe wrapper over raw `epoll` + `eventfd`
 //!   (direct FFI; the build has no registry access for `mio`),
 //!   including the `SO_REUSEADDR` listener bind that lets a killed
@@ -62,14 +56,17 @@
 //! * [`reactor`] — the fixed-thread-pool event loop: [`Reactor`] owns
 //!   every connection fd, feeds readable bytes through per-connection
 //!   `FrameDecoder`s into a [`ReactorHandler`], and drains each
-//!   connection's queue on writable readiness with partial-write
-//!   state, preserving the outbox's bounded-overflow semantics.
+//!   connection's bounded, **never-blocking** send queue
+//!   ([`ConnHandle`]) on writable readiness with partial-write state.
+//!   A partition's writer thread or read worker enqueues a framed
+//!   response and moves on; a client that stops reading fills its own
+//!   queue and gets disconnected — it can never stall the partition.
 //!   Listeners registered with [`Reactor::add_listener`] return a
 //!   [`ListenerHandle`] so a single partition's accept path can be
 //!   torn down (fd reaped by the owning reactor thread) without
 //!   stopping the pool;
-//! * [`fault`] — a seeded, deterministic [`FaultPlan`] both fabrics
-//!   consult at the frame boundary: drop-and-sever, duplicate,
+//! * [`fault`] — a seeded, deterministic [`FaultPlan`] the fabric
+//!   consults at the frame boundary: drop-and-sever, duplicate,
 //!   delay/reorder, refused dials, link severs and peer partitions,
 //!   all replayable from one seed (see the module docs for why a
 //!   dropped frame must sever its TCP link).
@@ -89,7 +86,6 @@
 mod error;
 pub mod fault;
 mod hello;
-mod outbox;
 pub mod poll;
 pub mod reactor;
 mod reader;
@@ -99,8 +95,8 @@ mod writev;
 pub use error::NetError;
 pub use fault::{FaultPlan, FaultStats, SendVerdict};
 pub use hello::Hello;
-pub use outbox::{Outbox, DEFAULT_OUTBOX_BYTES};
 pub use reactor::{
     Backend, ConnHandle, ListenerHandle, Reactor, ReactorHandler, ReactorMetrics, ReactorOptions,
+    DEFAULT_OUTBOX_BYTES,
 };
 pub use reader::FramedReader;

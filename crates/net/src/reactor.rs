@@ -1,17 +1,14 @@
 //! The reactor: every connection of a process served by a fixed
 //! thread pool, over a pluggable readiness [`Backend`].
 //!
-//! The threaded transport ([`Outbox`](crate::Outbox) +
-//! [`FramedReader`](crate::FramedReader)) spends two OS threads per
-//! connection; this module serves *all* connections — listeners,
+//! This module serves *all* of a process's connections — listeners,
 //! accepted sessions, dialed peer links — from `reactor_threads` event
 //! loops, so the fabric's thread count is a deployment constant instead
-//! of a function of client count. The sans-io layering is unchanged:
-//! frames are reassembled by the same
-//! [`FrameDecoder`](wren_protocol::frame::FrameDecoder), and the send
-//! side keeps the outbox contract exactly — bounded queue, enqueue
-//! never blocks, a frame offered to an empty queue is always admitted,
-//! and a peer whose queue backs past the cap is severed.
+//! of a function of client count. Frames are reassembled by the
+//! sans-io [`FrameDecoder`](wren_protocol::frame::FrameDecoder), and
+//! the send side is a bounded queue per connection ([`ConnHandle`]):
+//! an enqueue never blocks, a frame offered to an empty queue is always
+//! admitted, and a peer whose queue backs past the cap is severed.
 //!
 //! Topology per reactor thread: one [`Poller`] (level-triggered), one
 //! [`Waker`] (eventfd) for cross-thread nudges, and a private map of
@@ -186,12 +183,14 @@ impl ThreadShared {
     }
 }
 
+/// Default send-queue cap: queued (unwritten) bytes per connection.
+pub const DEFAULT_OUTBOX_BYTES: usize = 4 * 1024 * 1024;
+
 /// Handle to one reactor-served connection's send side. Cloneable and
-/// sendable; all clones feed the same queue. The contract is the
-/// [`Outbox`](crate::Outbox) contract: enqueues never block, a frame
-/// offered to an empty queue is always admitted (the cap catches peers
-/// that stop *reading*, it does not bound message size), and an enqueue
-/// that would push a non-empty queue past the cap severs the
+/// sendable; all clones feed the same queue. Enqueues never block, a
+/// frame offered to an empty queue is always admitted (the cap catches
+/// peers that stop *reading*, it does not bound message size), and an
+/// enqueue that would push a non-empty queue past the cap severs the
 /// connection.
 #[derive(Clone)]
 pub struct ConnHandle {
@@ -1018,7 +1017,7 @@ fn read_burst<H: ReactorHandler>(
                         }
                         Ok(None) => break,
                         // Oversized frame: the guard fires before any
-                        // buffering; sever like the threaded reader.
+                        // buffering; sever.
                         Err(_) => return After::Close,
                     }
                 }

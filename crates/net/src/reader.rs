@@ -1,6 +1,6 @@
 //! Blocking framed reads over a socket.
 
-use crate::{Hello, NetError};
+use crate::NetError;
 use bytes::Bytes;
 use std::io::Read;
 use std::net::TcpStream;
@@ -34,11 +34,6 @@ impl FramedReader {
         }
     }
 
-    /// The wrapped stream (e.g. to set a read timeout).
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
-    }
-
     /// Blocks until the next complete frame payload, `Ok(None)` on a
     /// clean EOF at a frame boundary.
     ///
@@ -67,34 +62,6 @@ impl FramedReader {
                 };
             }
             self.decoder.extend(&self.buf[..n]);
-        }
-    }
-
-    /// The next complete frame already sitting in the decoder's buffer,
-    /// decoded **without touching the socket** — `Ok(None)` when more
-    /// bytes would be needed. One socket read often lands several
-    /// frames at once (a replication burst, a pipelined client); this
-    /// lets the caller drain them all and pay downstream delivery once
-    /// per burst instead of once per frame.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Frame`] on an oversized frame, as
-    /// [`next_frame`](Self::next_frame) would.
-    pub fn buffered_frame(&mut self) -> Result<Option<Bytes>, NetError> {
-        Ok(self.decoder.next_frame()?)
-    }
-
-    /// Reads and decodes the connection's handshake (its first frame).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::BadHello`] if the first frame is not a handshake, or
-    /// the connection closed before one arrived.
-    pub fn read_hello(&mut self) -> Result<Hello, NetError> {
-        match self.next_frame()? {
-            Some(payload) => Hello::decode(&payload),
-            None => Err(NetError::BadHello),
         }
     }
 }

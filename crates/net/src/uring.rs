@@ -1212,7 +1212,7 @@ fn handle_recv<H: ReactorHandler>(
                         }
                     }
                     Ok(None) => break,
-                    // Oversized frame: sever like the threaded reader.
+                    // Oversized frame: sever, as the epoll loop does.
                     Err(_) => {
                         close = true;
                         break;

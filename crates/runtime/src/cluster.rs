@@ -1,7 +1,6 @@
 use crate::engine::{Durability, PartitionEngine, ReadJob};
 use crate::metrics::SessionMetrics;
-use crate::reactor_fabric::ReactorFabric;
-use crate::tcp::{bind_listeners, spawn_acceptors, TcpFabric};
+use crate::reactor_fabric::{bind_listeners, ReactorFabric};
 use crate::Session;
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
@@ -48,92 +47,17 @@ pub(crate) enum RtMsg {
     /// in-process stand-in for `kill -9`.
     Kill,
     /// The TCP connection that carried `peer`-origin traffic into this
-    /// partition died (EOF or error on the accepted socket). Only the
-    /// TCP fabrics emit this; the channel transport has no links to
-    /// lose. The engine reacts when the peer is a sibling replica —
-    /// replication from it may have been cut mid-stream, so a catch-up
-    /// window opens until the peer re-ships what was in flight.
+    /// partition died (EOF or error on the accepted socket), or a fresh
+    /// one from `peer` arrived — its predecessor may have died before
+    /// its handshake got here. Only the TCP fabric emits this; the
+    /// channel transport has no links to lose. The engine reacts when
+    /// the peer is a sibling replica — replication from it may have
+    /// been cut mid-stream, so a catch-up window opens until the peer
+    /// re-ships what was in flight.
     PeerLinkLost {
         /// The peer whose outbound link to this server went away.
         peer: ServerId,
     },
-}
-
-/// Which thread topology serves the TCP sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FabricKind {
-    /// Two OS threads per connection (reader + outbox writer).
-    Threaded,
-    /// A fixed pool of epoll reactor threads serving every fd.
-    Reactor,
-}
-
-/// The socket fabric behind a TCP-mode cluster: same wire format, same
-/// handshake, same slow-client semantics — different thread topology.
-pub(crate) enum Fabric {
-    /// The per-connection-thread fabric ([`crate::tcp`]).
-    Threaded(TcpFabric),
-    /// The epoll reactor fabric ([`crate::reactor_fabric`]).
-    Reactor(ReactorFabric),
-}
-
-impl Fabric {
-    pub(crate) fn send_server(&self, src: ServerId, to: ServerId, msg: &WrenMsg) {
-        match self {
-            Fabric::Threaded(f) => f.send_server(src, to, msg),
-            Fabric::Reactor(f) => f.send_server(src, to, msg),
-        }
-    }
-
-    pub(crate) fn send_client(&self, to: ClientId, msg: &WrenMsg) {
-        match self {
-            Fabric::Threaded(f) => f.send_client(to, msg),
-            Fabric::Reactor(f) => f.send_client(to, msg),
-        }
-    }
-
-    pub(crate) fn shutdown(&self) {
-        match self {
-            Fabric::Threaded(f) => f.shutdown(),
-            Fabric::Reactor(f) => f.shutdown(),
-        }
-    }
-
-    pub(crate) fn join_threads(&self) {
-        match self {
-            Fabric::Threaded(f) => f.join_threads(),
-            Fabric::Reactor(f) => f.join_threads(),
-        }
-    }
-
-    pub(crate) fn dropped_frames(&self) -> u64 {
-        match self {
-            Fabric::Threaded(f) => f.dropped_frames(),
-            Fabric::Reactor(f) => f.dropped_frames(),
-        }
-    }
-
-    /// The fabric's socket-boundary metric registry. Both fabrics use
-    /// identical metric names, so a threaded-vs-reactor comparison is a
-    /// diff of two cluster snapshots.
-    pub(crate) fn registry(&self) -> Registry {
-        match self {
-            Fabric::Threaded(f) => f.registry(),
-            Fabric::Reactor(f) => f.registry(),
-        }
-    }
-
-    /// Tears down one server's network presence abruptly: its listener
-    /// closes (the address frees for a restart rebind), every
-    /// established connection it owns is severed mid-stream, and peer
-    /// links to or from it are dropped. Peers observe EOF — exactly
-    /// what `kill -9` on the server's process would produce.
-    pub(crate) fn kill_server(&self, id: ServerId) {
-        match self {
-            Fabric::Threaded(f) => f.kill_server(id),
-            Fabric::Reactor(f) => f.kill_server(id),
-        }
-    }
 }
 
 /// Shared routing state: writer inboxes, per-partition read channels and
@@ -152,7 +76,7 @@ pub(crate) struct Router {
     read_txs: Vec<Sender<ReadJob>>,
     clients: RwLock<HashMap<ClientId, Sender<WrenMsg>>>,
     /// In TCP mode, the socket fabric every inter-node hop crosses.
-    tcp: Option<Fabric>,
+    tcp: Option<ReactorFabric>,
 }
 
 impl Router {
@@ -161,25 +85,16 @@ impl Router {
     }
 
     /// The TCP fabric, when the cluster runs over sockets.
-    pub(crate) fn tcp(&self) -> Option<&Fabric> {
+    pub(crate) fn tcp(&self) -> Option<&ReactorFabric> {
         self.tcp.as_ref()
-    }
-
-    /// The threaded fabric specifically — what the acceptor/reader
-    /// thread machinery in [`crate::tcp`] runs against.
-    pub(crate) fn tcp_threaded(&self) -> Option<&TcpFabric> {
-        match self.tcp.as_ref() {
-            Some(Fabric::Threaded(f)) => Some(f),
-            _ => None,
-        }
     }
 
     /// Routes one server-bound message from a local engine or session.
     ///
     /// Channel mode delivers straight into the destination's inbox; TCP
     /// mode frames the message onto the sender's outbound link — it
-    /// re-enters via [`deliver_local`](Self::deliver_local) on the
-    /// destination's connection reader thread.
+    /// re-enters via [`deliver_local_batch`](Self::deliver_local_batch)
+    /// on the destination's reactor thread.
     pub(crate) fn send_to_server(&self, src: Dest, to: ServerId, msg: WrenMsg) {
         if let Some(fabric) = &self.tcp {
             let Dest::Server(s) = src else {
@@ -196,17 +111,15 @@ impl Router {
 
     /// Delivers a message to a **local** engine: `SliceReq` is diverted
     /// to the partition's read workers (when the engine runs any),
-    /// everything else lands in the writer's inbox. In TCP mode this is
-    /// the wire's exit point, called by connection reader threads.
+    /// everything else lands in the writer's inbox.
     pub(crate) fn deliver_local(&self, src: Dest, to: ServerId, msg: WrenMsg) {
         let idx = self.index_of(to);
         if !self.read_txs.is_empty() {
             if let WrenMsg::SliceReq { tx, lt, rt, keys } = msg {
                 let Dest::Server(coordinator) = src else {
-                    // Only a coordinator legitimately sends SliceReq,
-                    // but over TCP this arm is reachable by any client
-                    // that frames one — drop it (no assert: remote
-                    // input must never panic a server thread).
+                    // Only a coordinator legitimately sends SliceReq —
+                    // drop it (no assert, as in `deliver_local_batch`,
+                    // where remote input reaches this same rule).
                     return;
                 };
                 // A send only fails during shutdown; drop the job then.
@@ -298,10 +211,10 @@ impl Router {
         self.clients.write().remove(&id);
     }
 
-    /// Tells the engine at `at` that the inbound connection carrying
-    /// `peer`-origin traffic died. Called from connection-teardown paths
-    /// in both TCP fabrics; a failed send means the local engine is
-    /// down too, which needs no reaction.
+    /// Tells the engine at `at` that `peer`-origin traffic may have been
+    /// lost in transit: an inbound connection from `peer` died, or a new
+    /// one said hello. Called from the TCP fabric; a failed send means
+    /// the local engine is down too, which needs no reaction.
     pub(crate) fn notify_link_lost(&self, at: ServerId, peer: ServerId) {
         let idx = self.index_of(at);
         let _ = self.server_txs[idx].send(RtMsg::PeerLinkLost { peer });
@@ -319,7 +232,7 @@ pub struct ClusterBuilder {
     session_timeout: Duration,
     gossip_fanout: u16,
     read_workers: usize,
-    tcp: Option<FabricKind>,
+    tcp: bool,
     tcp_client_outbox_bytes: usize,
     reactor_threads: usize,
     backend: Backend,
@@ -343,7 +256,7 @@ impl Default for ClusterBuilder {
             session_timeout: Duration::from_secs(5),
             gossip_fanout: 0,
             read_workers: 2,
-            tcp: None,
+            tcp: false,
             tcp_client_outbox_bytes: wren_net::DEFAULT_OUTBOX_BYTES,
             reactor_threads: 2,
             backend: Backend::default(),
@@ -425,29 +338,18 @@ impl ClusterBuilder {
     /// decoded back. The engines themselves (writer thread + read
     /// workers) are identical in every mode.
     ///
-    /// Sockets are served by the **epoll reactor fabric**: a fixed pool
-    /// of [`reactor_threads`](Self::reactor_threads) event-loop threads
+    /// Sockets are served by the **reactor fabric**: a fixed pool of
+    /// [`reactor_threads`](Self::reactor_threads) event-loop threads
     /// owns every listener, accepted connection and dialed peer link,
     /// so fabric threads are O(reactor_threads), not O(connections).
-    /// [`Self::tcp_threaded`] selects the older two-threads-per-
-    /// connection fabric instead (same wire format and semantics).
+    /// [`Self::backend`] picks the syscall interface those loops run on
+    /// (epoll by default, or io_uring).
     ///
     /// [`Cluster::server_addrs`] exposes the bound addresses so
     /// sessions in *other processes* can join via
     /// [`Session::connect_tcp`](crate::Session::connect_tcp).
     pub fn tcp(mut self) -> Self {
-        self.tcp = Some(FabricKind::Reactor);
-        self
-    }
-
-    /// Runs the cluster over TCP with the **threaded fabric**: one
-    /// acceptor thread per partition plus a reader thread and an outbox
-    /// writer thread per connection. Byte-for-byte the same protocol as
-    /// [`Self::tcp`]; kept for apples-to-apples comparison (the
-    /// channel / threaded-TCP / reactor-TCP oracle suites) and as the
-    /// simplest-possible reference transport.
-    pub fn tcp_threaded(mut self) -> Self {
-        self.tcp = Some(FabricKind::Threaded);
+        self.tcp = true;
         self
     }
 
@@ -467,8 +369,8 @@ impl ClusterBuilder {
     /// `epoll_wait`/`read`/`writev` — and **falls back to epoll at
     /// build time** when the kernel lacks io_uring (or a sandbox
     /// denies the syscall), so it is safe to request unconditionally.
-    /// [`Cluster::tcp_backend`] reports the resolution. No effect on
-    /// the threaded fabric or channel mode.
+    /// [`Cluster::tcp_backend`] reports the resolution. No effect in
+    /// channel mode.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -736,14 +638,11 @@ impl Cluster {
         }
         // TCP mode: bind every server's loopback listener up front so
         // the fabric knows all addresses before any engine (or lazy
-        // dial) runs; acceptors (threaded) or listener registrations
-        // (reactor) follow as soon as the router exists.
-        let (listeners, addrs) = if cfg.tcp.is_some() {
-            let (listeners, addrs) = bind_listeners(cfg.n_dcs, cfg.n_partitions)
-                .expect("bind loopback listeners");
-            (Some(listeners), addrs)
+        // dial) runs; the fabric registers them with its reactor.
+        let (listeners, addrs) = if cfg.tcp {
+            bind_listeners(cfg.n_dcs, cfg.n_partitions).expect("bind loopback listeners")
         } else {
-            (None, Vec::new())
+            (Vec::new(), Vec::new())
         };
         let addrs = Arc::new(addrs);
 
@@ -754,35 +653,24 @@ impl Cluster {
         // loops start inside the closure, but nothing can reach them
         // until sessions dial — and a frame arriving before the Arc is
         // live is dropped, exactly like one arriving after shutdown.
-        let mut listeners = listeners;
         let router = Arc::new_cyclic(|weak: &std::sync::Weak<Router>| Router {
             n_partitions: cfg.n_partitions,
             server_txs: txs,
             read_txs,
             clients: RwLock::new(HashMap::new()),
-            tcp: cfg.tcp.map(|kind| match kind {
-                FabricKind::Threaded => Fabric::Threaded(TcpFabric::new(
-                    addrs.as_ref().clone(),
-                    cfg.n_partitions,
-                    cfg.tcp_client_outbox_bytes,
-                    cfg.fault_plan.clone(),
-                )),
-                FabricKind::Reactor => Fabric::Reactor(ReactorFabric::start(
+            tcp: cfg.tcp.then(|| {
+                ReactorFabric::start(
                     addrs.as_ref().clone(),
                     cfg.n_partitions,
                     cfg.tcp_client_outbox_bytes,
                     cfg.reactor_threads,
                     cfg.backend,
-                    listeners.take().expect("TCP mode binds listeners"),
+                    listeners,
                     weak.clone(),
                     cfg.fault_plan.clone(),
-                )),
+                )
             }),
         });
-        if let Some(listeners) = listeners {
-            // Threaded fabric: the reactor consumed them otherwise.
-            spawn_acceptors(&router, listeners);
-        }
 
         let wren_cfg = WrenConfig {
             n_dcs: cfg.n_dcs,
@@ -902,15 +790,11 @@ impl Cluster {
         &self.addrs
     }
 
-    /// The syscall backend the reactor fabric resolved to — `Epoll`
-    /// when a requested [`Backend::Uring`] was unavailable and fell
-    /// back. `None` in channel mode and for the threaded fabric (which
-    /// has no event loops to back).
+    /// The syscall backend the TCP fabric's event loops resolved to —
+    /// `Epoll` when a requested [`Backend::Uring`] was unavailable and
+    /// fell back. `Some` for every TCP cluster, `None` in channel mode.
     pub fn tcp_backend(&self) -> Option<Backend> {
-        match self.router.tcp() {
-            Some(Fabric::Reactor(f)) => Some(f.backend()),
-            _ => None,
-        }
+        self.router.tcp().map(ReactorFabric::backend)
     }
 
     /// Inter-server messages the TCP fabric refused to frame (always 0
@@ -978,7 +862,7 @@ impl Cluster {
         let p = (self.next_coordinator.fetch_add(1, Ordering::Relaxed)
             % self.cfg.n_partitions as u32) as u16;
         let coordinator = ServerId::new(dc, p);
-        if self.cfg.tcp.is_some() {
+        if self.cfg.tcp {
             // Same API, real sockets: the session dials its coordinator
             // exactly as a remote process would.
             return Session::tcp(
@@ -1131,13 +1015,7 @@ impl Cluster {
             };
             let listener =
                 wren_net::poll::bind_reusable(v4).expect("rebind the partition's address");
-            match fabric {
-                Fabric::Threaded(f) => {
-                    f.revive_server(id);
-                    spawn_acceptors(&self.router, vec![(id, listener)]);
-                }
-                Fabric::Reactor(f) => f.restart_server(id, listener),
-            }
+            fabric.restart_server(id, listener);
         }
         // The restarted engine runs on the cluster's clock, which kept
         // going while the partition was down.
@@ -1208,8 +1086,7 @@ impl Cluster {
     /// Joins every thread of a cluster that has been
     /// [shut down](Self::shutdown), in the reverse of the order
     /// [`spawn_engines`] and the fabric started them — every read
-    /// worker, then every writer, then the fabric's threads (acceptors,
-    /// connection readers and outbox writers, or the event loops) — and
+    /// worker, then every writer, then the fabric's event loops — and
     /// returns the writers' final statistics (a default for a partition
     /// that is down).
     fn join_threads(&mut self) -> Vec<ServerStats> {

@@ -23,10 +23,9 @@
 //!   cannot stall a partition, and [`Session::connect_tcp`] to join
 //!   from another process knowing only [`Cluster::server_addrs`]. All
 //!   sockets are served by a fixed pool of epoll reactor threads
-//!   ([`ClusterBuilder::reactor_threads`]) — fabric threads are
+//!   ([`ClusterBuilder::reactor_threads`], on epoll or io_uring per
+//!   [`ClusterBuilder::backend`]) — fabric threads are
 //!   O(reactor_threads + partitions), not O(connections);
-//!   [`ClusterBuilder::tcp_threaded`] keeps the two-threads-per-
-//!   connection fabric for comparison;
 //! * [`ClusterBuilder::durable`] — per-partition write-ahead logging
 //!   and checkpoints: each engine logs its commits, replication applies
 //!   and stable-bound advances (group-committed per
@@ -47,7 +46,7 @@
 //!   transparently reconnect and retry idempotent operations
 //!   (commits are never re-sent);
 //! * [`ClusterBuilder::fault_plan`] — a seeded, replayable
-//!   [`FaultPlan`] underneath either TCP fabric: drop / duplicate /
+//!   [`FaultPlan`] underneath the TCP fabric: drop / duplicate /
 //!   delay / reorder server-to-server frames, refuse dials, sever
 //!   links or partition the peer set — the substrate for the chaos
 //!   failover oracle;
@@ -55,7 +54,7 @@
 //!   `wren-obs` (lock-free counters and mergeable log-linear
 //!   histograms): commit-stage / WAL / read-slice / replication /
 //!   visibility-lag latencies per partition engine, socket-boundary
-//!   counters in both TCP fabrics, and session-op latencies, merged
+//!   counters in the TCP fabric, and session-op latencies, merged
 //!   into one [`MetricsSnapshot`] (diffable, Prometheus-renderable;
 //!   [`ClusterBuilder::metrics_every`] logs interval deltas). Each
 //!   partition also keeps a tx-lifecycle trace ring

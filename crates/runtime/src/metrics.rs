@@ -5,13 +5,13 @@
 //! [`WrenServer`](wren_core::WrenServer) (see `wren_core::metrics`);
 //! this module adds the two layers the runtime itself owns:
 //!
-//! * [`FabricMetrics`] — what the TCP fabrics see at the socket
+//! * [`FabricMetrics`] — what the TCP fabric sees at the socket
 //!   boundary: frames and bytes in/out, connections accepted and
 //!   severed, dial-backoff parks, the outbox-depth high-water mark,
 //!   the frame-ceiling drop counter and the frames-per-`writev`
-//!   histogram of the vectored drains. Both fabrics (threaded and
-//!   reactor) record into the same metric names, so comparing the two
-//!   topologies is a diff of two snapshots.
+//!   histogram of the vectored drains. The metric names are the same on
+//!   both reactor backends (epoll and io_uring), so comparing the two
+//!   is a diff of two snapshots.
 //! * [`SessionMetrics`] — client-side operation latencies (begin /
 //!   read / commit round trips) and the explicit-abort counter, shared
 //!   by every session the cluster hands out.
@@ -22,7 +22,7 @@
 
 use wren_obs::{Counter, Gauge, Histogram, Registry};
 
-/// Socket-boundary metric handles, one set per TCP fabric.
+/// Socket-boundary metric handles of a cluster's TCP fabric.
 #[derive(Debug, Clone)]
 pub(crate) struct FabricMetrics {
     registry: Registry,
@@ -45,8 +45,8 @@ pub(crate) struct FabricMetrics {
     pub dropped_frames: Counter,
     /// High-water mark of queued (unwritten) bytes across outboxes.
     pub outbox_depth_bytes: Gauge,
-    /// Frames retired per `writev` call by the vectored drains (both
-    /// fabrics); a mean above 1 under pipelined load is the syscall
+    /// Frames retired per `writev` call by the epoll backend's
+    /// vectored drains; a mean above 1 under pipelined load is the syscall
     /// batching working.
     pub writev_frames_per_call: Histogram,
     /// SQEs submitted per `io_uring_enter` by the uring backend's

@@ -1,58 +1,86 @@
-//! The reactor TCP fabric: the cluster's engines behind real sockets,
-//! served by a **fixed pool of epoll threads** instead of two OS
-//! threads per connection.
+//! The TCP fabric: the cluster's engines behind real sockets, served
+//! by a **fixed pool of reactor threads** ([`Reactor`], epoll or
+//! io_uring) instead of threads per connection.
 //!
-//! The wire semantics are identical to the threaded fabric
-//! ([`crate::tcp`]): every protocol hop is encoded, framed, written to
-//! a socket, read back, decoded and dispatched; the first frame on a
-//! connection is a [`Hello`]; client links get the bounded outbox cap
-//! (overflow = disconnect the slow client); inter-server links are
-//! effectively unbounded and lossless. What changes is the thread
-//! topology:
+//! In channel mode every hop is a crossbeam send; in TCP mode every
+//! protocol message — client↔coordinator, coordinator↔cohort,
+//! replication, gossip, GC — is **encoded, framed, written to a socket,
+//! read back, decoded and dispatched**, exactly as it would be between
+//! machines. The engines are untouched: the writer thread and the read
+//! workers keep consuming from the same channels, which this fabric
+//! feeds from the wire.
 //!
-//! * **No acceptor threads.** Every partition's listener is registered
-//!   with the shared [`Reactor`]; accepts happen on readable readiness.
-//! * **No per-connection reader threads.** Readable bytes are fed
-//!   through the connection's `FrameDecoder` on a reactor thread; the
-//!   frames decoded by one readiness burst are buffered per connection
-//!   and delivered into the destination engine's inbox as **one**
-//!   coalesced wake-up (`RtMsg::Batch`) when the burst ends, so a
-//!   pipelined run of requests costs the engine one channel receive
-//!   and one group-commit point (read slices divert to the read
-//!   workers in wire order, as everywhere).
-//! * **No per-connection writer threads.** Responses are enqueued on
-//!   the connection's bounded queue ([`ConnHandle`]) and drained by the
-//!   reactor on writable readiness, with partial-write state per fd.
+//! * **One listener per partition server**, registered with the shared
+//!   [`Reactor`]; accepts happen on readable readiness.
+//! * **Accepted connections** open with a [`Hello`] naming the peer;
+//!   every later frame is a bare protocol message attributed to that
+//!   identity. Readable bytes are fed through the connection's
+//!   `FrameDecoder` on a reactor thread; the frames decoded by one
+//!   readiness burst are buffered per connection and delivered into the
+//!   destination engine's inbox as **one** coalesced wake-up
+//!   (`RtMsg::Batch`) when the burst ends, so a pipelined run of
+//!   requests costs the engine one channel receive and one group-commit
+//!   point (read slices divert to the read workers in wire order).
+//! * **Outbound links are dialed lazily**, one per (local engine,
+//!   remote server) pair. Every write goes onto the connection's
+//!   bounded, never-blocking queue ([`ConnHandle`]), which the reactor
+//!   drains on writable readiness — the engine threads never block on
+//!   `write(2)`. Client links get the small, configurable cap (overflow
+//!   = disconnect the slow client); inter-server links are effectively
+//!   unbounded ([`SERVER_OUTBOX_BYTES`]) and lossless.
+//! * **Client connections** register their handle under the client id
+//!   at hello time, so coordinator responses find the socket without
+//!   any per-message addressing bytes.
 //!
 //! Total fabric threads: `reactor_threads` (default 2), independent of
-//! the number of sessions — O(reactor_threads + partitions) process
-//! threads overall, where the threaded fabric needs O(connections).
+//! the number of sessions.
 //!
 //! Shutdown is idempotent: flag, reactor shutdown (wakes every loop,
 //! severs every fd, drops every listener), registry sweep, join. The
-//! accept/dial/register-vs-sweep races close the same way as in the
-//! threaded fabric: re-check the closing flag *after* publishing, so
-//! exactly one side severs.
+//! accept/dial/register-vs-sweep races close by re-checking the closing
+//! flag *after* publishing, so exactly one side severs.
 //!
-//! **Failover and fault injection** follow the threaded fabric's model
-//! (see [`crate::tcp`]'s module docs for the full lifecycle): a killed
-//! server's [`ListenerHandle`] closes (its reactor thread reaps the fd,
-//! freeing the address for the restart rebind), every connection it
-//! owns is severed, peer links toward it park behind the shared
-//! jittered dial backoff, a lost inbound peer link is reported via
-//! [`Router::notify_link_lost`] (from [`ReactorHandler::on_close`], the
-//! reactor's exactly-once teardown callback), and every server→server
-//! frame and dial consults the optional [`FaultPlan`].
+//! **Failover.** A single partition can die and return without the rest
+//! of the fabric noticing more than a dead host would show:
+//! [`ReactorFabric::kill_server`] marks the victim down, closes its
+//! [`ListenerHandle`] (the owning reactor thread reaps the fd, freeing
+//! the address for the restart rebind) and severs every connection it
+//! owns — peers and sessions see EOF mid-stream, exactly like `kill -9`.
+//! A peer link that then fails to dial **parks** ([`PeerLink`]): frames
+//! sent before its jittered, exponentially-doubling next-attempt time
+//! are dropped silently, as packets to a dead host are. When the
+//! accepted side of a server link dies, [`ReactorHandler::on_close`]
+//! (the reactor's exactly-once teardown callback) reports the loss to
+//! its engine ([`Router::notify_link_lost`]) so a sibling replica can
+//! open a catch-up window for whatever replication died in flight. A
+//! new server link's hello is reported the same way: a dialed link
+//! severed before its hello was written loses its queued frames with
+//! no EOF at the receiver to say whose they were.
+//!
+//! [`ReactorFabric::restart_server`] clears the down flag, unparks every
+//! link toward the reborn server and registers its fresh listener
+//! (bound with `SO_REUSEADDR` on the original address).
+//!
+//! **Fault injection.** When the cluster was built with a
+//! [`FaultPlan`], every server→server frame consults it just after
+//! framing ([`wren_net::fault`] has the verdict semantics: drop-and-
+//! sever, duplicate, delay/reorder) and every peer dial consults
+//! [`FaultPlan::allow_dial`]; a refused dial parks the link exactly
+//! like a dead host. Client↔server sockets never consult the plan —
+//! sessions model the paper's co-located client.
 
-use crate::cluster::{Fabric, Router};
+use crate::cluster::Router;
 use crate::metrics::FabricMetrics;
-use crate::tcp::{legal_from_client, legal_from_server, PeerLink, SERVER_OUTBOX_BYTES};
+use crate::tcp::{
+    jittered, legal_from_client, legal_from_server, DIAL_BACKOFF_MAX, DIAL_BACKOFF_MIN,
+};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 use wren_net::{
     Backend, ConnHandle, FaultPlan, Hello, ListenerHandle, Reactor, ReactorHandler, ReactorMetrics,
     ReactorOptions, SendVerdict,
@@ -60,10 +88,83 @@ use wren_net::{
 use wren_protocol::frame::try_frame_wren;
 use wren_protocol::{ClientId, Dest, ServerId, WrenMsg};
 
-/// One outbound link's slot: serializes dial + enqueue for its
-/// (engine, peer) pair only, exactly like the threaded fabric's, with
-/// the same park-on-refused-dial gate ([`PeerLink`]).
-type PeerSlot = Arc<Mutex<PeerLink<ConnHandle>>>;
+/// Cap on a server↔server link's send queue. Effectively unbounded:
+/// the protocol's tick pacing flow-controls inter-server traffic, and
+/// dropping replication or 2PC messages would violate the lossless-FIFO
+/// link assumption the state machines are built on. (Client links are
+/// the untrusted ones — they get the small, configurable cap.)
+const SERVER_OUTBOX_BYTES: usize = usize::MAX;
+
+/// One outbound server→server link: the live handle (if any) plus the
+/// dial gate that parks the link between failed attempts.
+struct PeerLink {
+    /// The live link, `None` while disconnected or parked.
+    out: Option<ConnHandle>,
+    /// Earliest next dial; `None` means dial freely.
+    next_attempt: Option<Instant>,
+    /// Backoff the *next* failure will park for (jittered).
+    backoff: Duration,
+}
+
+impl Default for PeerLink {
+    fn default() -> Self {
+        PeerLink {
+            out: None,
+            next_attempt: None,
+            backoff: DIAL_BACKOFF_MIN,
+        }
+    }
+}
+
+impl PeerLink {
+    /// Whether a dial may be attempted now. While parked, callers drop
+    /// their frame instead — packets to a dead host.
+    fn may_dial(&self) -> bool {
+        self.next_attempt.is_none_or(|at| Instant::now() >= at)
+    }
+
+    /// Records a refused dial: parks the link for the current backoff
+    /// (jittered) and doubles it toward [`DIAL_BACKOFF_MAX`].
+    fn dial_failed(&mut self) {
+        self.next_attempt = Some(Instant::now() + jittered(self.backoff));
+        self.backoff = (self.backoff * 2).min(DIAL_BACKOFF_MAX);
+    }
+
+    /// Resets the gate after a successful dial — or eagerly, when the
+    /// peer's restart makes an immediate re-dial worthwhile.
+    fn unpark(&mut self) {
+        self.next_attempt = None;
+        self.backoff = DIAL_BACKOFF_MIN;
+    }
+}
+
+/// One outbound link's slot. The per-slot mutex serializes dial +
+/// enqueue for that (engine, peer) pair only — it preserves the pair's
+/// FIFO order (one connection at a time) without making unrelated pairs
+/// (or the read workers' concurrent `SliceResp`s) queue on a global
+/// lock, and without ever holding the fabric-wide map lock across a
+/// blocking `connect`.
+type PeerSlot = Arc<Mutex<PeerLink>>;
+
+/// A bound listener tagged with the server it serves.
+pub(crate) type BoundListeners = Vec<(ServerId, TcpListener)>;
+
+/// Binds one loopback listener per server, DC-major partition order.
+pub(crate) fn bind_listeners(
+    n_dcs: u8,
+    n_partitions: u16,
+) -> std::io::Result<(BoundListeners, Vec<SocketAddr>)> {
+    let mut listeners = Vec::new();
+    let mut addrs = Vec::new();
+    for dc in 0..n_dcs {
+        for p in 0..n_partitions {
+            let listener = TcpListener::bind(("127.0.0.1", 0))?;
+            addrs.push(listener.local_addr()?);
+            listeners.push((ServerId::new(dc, p), listener));
+        }
+    }
+    Ok((listeners, addrs))
+}
 
 /// Per-process reactor-fabric state: listener addresses, live link and
 /// client registries, and the reactor itself.
@@ -86,14 +187,14 @@ pub(crate) struct ReactorFabric {
     /// the victim's; entries are reaped in `on_close`.
     conns: Mutex<HashMap<u64, (ServerId, ConnHandle)>>,
     next_conn: AtomicU64,
-    /// Socket-boundary metric handles — same metric names as the
-    /// threaded fabric's, so the two topologies diff cleanly. The
-    /// frame-ceiling drop counter is 0 on any healthy run (see
-    /// [`crate::tcp::TcpFabric::send_server`] for why splitting would
-    /// be unsound); injected faults are counted by the [`FaultPlan`]
-    /// itself, not here.
+    /// Socket-boundary metric handles (frames/bytes in and out,
+    /// connection churn, dial parks, the frame-ceiling drop counter —
+    /// 0 on any healthy run, see [`Self::send_server`]). Injected
+    /// faults are counted by the [`FaultPlan`] itself, not here.
     metrics: FabricMetrics,
-    /// Per-server kill flags, DC-major order (see the threaded twin).
+    /// Per-server kill flags, DC-major order: a down server sends
+    /// nothing, receives nothing and accepts nothing until
+    /// [`Self::restart_server`].
     down: Vec<AtomicBool>,
     /// The deterministic fault plan, when the cluster injects faults.
     faults: Option<FaultPlan>,
@@ -114,7 +215,7 @@ impl ReactorFabric {
         client_outbox_bytes: usize,
         reactor_threads: usize,
         backend: Backend,
-        listeners: Vec<(ServerId, TcpListener)>,
+        listeners: BoundListeners,
         router: Weak<Router>,
         faults: Option<FaultPlan>,
     ) -> ReactorFabric {
@@ -176,8 +277,17 @@ impl ReactorFabric {
             return;
         }
         let Some(frame) = try_frame_wren(msg) else {
-            // Unframeable server→server message: dropping beats a torn
-            // half-applied batch (see the threaded fabric's comment).
+            // Beyond the frame ceiling, which legitimate traffic cannot
+            // reach: client requests are capped with amplification
+            // headroom at their own transport (`CLIENT_REQ_MAX`), so
+            // every per-transaction server message derived from one
+            // stays under the ceiling, and multi-transaction `Replicate`
+            // batches share one commit timestamp (HLC ties — a handful
+            // at most, not 64 MiB). Splitting such a batch here would
+            // be UNSOUND: the receiver raises its replication watermark
+            // to `ct` after each message, so a half-applied batch could
+            // become visible as a stable — and torn — snapshot. Drop
+            // instead, and make it observable.
             self.metrics.dropped_frames.inc();
             return;
         };
@@ -442,7 +552,7 @@ struct RtConn {
 
 /// Routes reactor events into the cluster: hellos establish identity,
 /// later frames are legality-filtered and delivered to the local
-/// engines exactly as the threaded fabric's reader threads would.
+/// engines.
 struct RtHandler {
     router: Weak<Router>,
     n_partitions: u16,
@@ -452,10 +562,7 @@ struct RtHandler {
 impl RtHandler {
     fn with_fabric<R>(&self, f: impl FnOnce(&Arc<Router>, &ReactorFabric) -> R) -> Option<R> {
         let router = self.router.upgrade()?;
-        let fabric = match router.tcp() {
-            Some(Fabric::Reactor(fabric)) => fabric,
-            _ => return None,
-        };
+        let fabric = router.tcp()?;
         Some(f(&router, fabric))
     }
 }
@@ -504,7 +611,14 @@ impl ReactorHandler for RtHandler {
                         && src.dc_major_index(self.n_partitions) < self.n_servers =>
                 {
                     conn.identity = RtIdentity::Peer(src);
-                    true
+                    // A fresh link from `src` is as much a gap as a dead
+                    // one: a predecessor link severed before its hello
+                    // was written took its queued frames with it and no
+                    // EOF here could name the sender. Reported before any
+                    // of this link's frames reach the engine, so no
+                    // heartbeat on it can vouch for what was lost.
+                    self.with_fabric(|router, _| router.notify_link_lost(conn.me, src))
+                        .is_some()
                 }
                 Ok(Hello::Server(_)) | Err(_) => false,
                 Ok(Hello::Client(id)) => {

@@ -1,104 +1,24 @@
-//! The **threaded** TCP fabric (plus the transport pieces both fabrics
-//! share): the cluster's engines behind real sockets, one reader and
-//! one outbox-writer thread per connection.
+//! The TCP pieces a session and the fabric share: the boundary rules
+//! ([`legal_from_client`], [`legal_from_server`], the request/read
+//! ceilings), the jittered dial backoff ([`DIAL_BACKOFF_MIN`] →
+//! [`DIAL_BACKOFF_MAX`]), and a session's framed link to its
+//! coordinators ([`TcpLink`]).
 //!
-//! This is the original, simplest-possible socket fabric, selected by
-//! [`ClusterBuilder::tcp_threaded`](crate::ClusterBuilder::tcp_threaded)
-//! and kept as the reference point for the epoll reactor fabric
-//! ([`crate::reactor_fabric`]), which serves the identical wire
-//! protocol from a fixed thread pool and is what
-//! [`ClusterBuilder::tcp`](crate::ClusterBuilder::tcp) now builds. The
-//! boundary rules ([`legal_from_client`], [`legal_from_server`], the
-//! request/read ceilings) and the session-side [`TcpLink`] live here
-//! and are shared by both.
-//!
-//! In channel mode every hop is a crossbeam send; in TCP mode every
-//! protocol message — client↔coordinator, coordinator↔cohort,
-//! replication, gossip, GC — is **encoded, framed, written to a socket,
-//! read back, decoded and dispatched**, exactly as it would be between
-//! machines. The engines themselves are untouched: the writer thread
-//! and the read workers keep consuming from the same channels; the
-//! fabric's connection reader threads feed those channels from the
-//! wire, and outgoing dispatches are framed onto per-connection
-//! outboxes instead of channel sends.
-//!
-//! Topology:
-//!
-//! * **One `TcpListener` + acceptor thread per partition server.** The
-//!   acceptor only accepts; it never reads, so a peer that dribbles its
-//!   handshake byte-by-byte wedges nothing but its own connection
-//!   thread.
-//! * **Per-connection reader threads.** The first frame is a
-//!   [`Hello`] naming the peer; every later frame is a bare protocol
-//!   message attributed to that identity and delivered into the
-//!   partition's inbox (read slices divert to the read workers, as in
-//!   channel mode).
-//! * **Outbound links are dialed lazily**, one per (local engine,
-//!   remote server) pair, and writes go through a bounded, never-
-//!   blocking [`Outbox`] drained by a dedicated writer thread — a slow
-//!   peer fills its own queue and is disconnected; the engine threads
-//!   never block on `write(2)`.
-//! * **Client connections** register their outbox under the client id
-//!   at hello time, so coordinator responses find the socket without
-//!   any per-message addressing bytes.
-//!
-//! Shutdown is idempotent and total: the fabric flags itself closing,
-//! wakes every acceptor with a self-connection, shuts every registered
-//! socket (waking reader threads and any blocked writes), closes every
-//! outbox, and [`TcpFabric::join_threads`] then joins acceptors,
-//! readers and outbox writers — no fabric thread outlives the cluster.
-//!
-//! **Failover.** A single partition can die and return without the rest
-//! of the fabric noticing more than a dead host would show:
-//! [`TcpFabric::kill_server`] marks the victim down, makes its acceptor
-//! exit (dropping the listener, so the address frees for the restart
-//! rebind) and severs every connection it owns — peers and sessions see
-//! EOF mid-stream, exactly like `kill -9`. A peer link that then fails
-//! to dial **parks**: the slot records a jittered, exponentially-
-//! doubling next-attempt time ([`DIAL_BACKOFF_MIN`] →
-//! [`DIAL_BACKOFF_MAX`]) and frames sent meanwhile are dropped
-//! silently, as packets to a dead host are. When the accepted side of a
-//! server link dies, the reader thread reports the loss to its engine
-//! ([`Router::notify_link_lost`]) so a sibling replica can open a
-//! catch-up window for whatever replication died in flight.
-//! [`TcpFabric::revive_server`] clears the down flag and unparks every
-//! link toward the reborn server; a fresh listener (bound with
-//! `SO_REUSEADDR` on the original address) is handed back to
-//! [`spawn_acceptors`].
-//!
-//! **Fault injection.** When the cluster was built with a
-//! [`FaultPlan`], every server→server frame consults it just after
-//! framing ([`wren_net::fault`] has the verdict semantics: drop-and-
-//! sever, duplicate, delay/reorder) and every peer dial consults
-//! [`FaultPlan::allow_dial`]; a refused dial parks the link exactly
-//! like a dead host. Client↔server sockets never consult the plan —
-//! sessions model the paper's co-located client.
+//! The server side — listeners, accepted connections and dialed peer
+//! links — is the reactor fabric ([`crate::reactor_fabric`]). The
+//! session library checks the same ceilings the fabric enforces at its
+//! accepting boundary, so an over-size request becomes a clean
+//! client-side error instead of a severed connection.
 
-use crate::cluster::Router;
-use crate::metrics::FabricMetrics;
-use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use crate::RtError;
 use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wren_net::{FaultPlan, FramedReader, Hello, Outbox, SendVerdict};
-use wren_protocol::frame::{frame_wren, try_frame_wren};
-use wren_protocol::{ClientId, Dest, ServerId, WrenMsg};
-
-/// Cap on a server↔server link's outbox. Effectively unbounded: the
-/// protocol's tick pacing flow-controls inter-server traffic, and
-/// dropping replication or 2PC messages would violate the lossless-FIFO
-/// link assumption the state machines are built on. (Client links are
-/// the untrusted ones — they get the small, configurable cap.) Shared
-/// with the reactor fabric, which keeps the same link taxonomy.
-pub(crate) const SERVER_OUTBOX_BYTES: usize = usize::MAX;
-
-/// How long shutdown waits for the self-connection that wakes an
-/// acceptor thread.
-const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+use wren_net::{FramedReader, Hello};
+use wren_protocol::frame::frame_wren;
+use wren_protocol::{ClientId, ServerId, WrenMsg};
 
 /// First-retry backoff after a refused dial; doubles (with jitter, see
 /// [`jittered`]) up to [`DIAL_BACKOFF_MAX`]. Shared by session dials
@@ -148,530 +68,6 @@ const CLIENT_REQ_MAX: usize = wren_protocol::frame::MAX_FRAME_LEN - 1024;
 /// both `TxReadReq` (client conns) and `SliceReq` (server conns).
 const MAX_READ_KEYS: usize = 512;
 
-/// One outbound server→server link: the live write handle (if any) plus
-/// the dial gate that parks the link between failed attempts. Generic
-/// over the handle type because both fabrics keep the same link
-/// taxonomy — [`Outbox`] here, `ConnHandle` in the reactor fabric.
-pub(crate) struct PeerLink<T> {
-    /// The live link, `None` while disconnected or parked.
-    pub(crate) out: Option<T>,
-    /// Earliest next dial; `None` means dial freely.
-    next_attempt: Option<Instant>,
-    /// Backoff the *next* failure will park for (jittered).
-    backoff: Duration,
-}
-
-impl<T> Default for PeerLink<T> {
-    fn default() -> Self {
-        PeerLink {
-            out: None,
-            next_attempt: None,
-            backoff: DIAL_BACKOFF_MIN,
-        }
-    }
-}
-
-impl<T> PeerLink<T> {
-    /// Whether a dial may be attempted now. While parked, callers drop
-    /// their frame instead — packets to a dead host.
-    pub(crate) fn may_dial(&self) -> bool {
-        self.next_attempt.is_none_or(|at| Instant::now() >= at)
-    }
-
-    /// Records a refused dial: parks the link for the current backoff
-    /// (jittered) and doubles it toward [`DIAL_BACKOFF_MAX`].
-    pub(crate) fn dial_failed(&mut self) {
-        self.next_attempt = Some(Instant::now() + jittered(self.backoff));
-        self.backoff = (self.backoff * 2).min(DIAL_BACKOFF_MAX);
-    }
-
-    /// Resets the gate after a successful dial — or eagerly, when the
-    /// peer's restart makes an immediate re-dial worthwhile.
-    pub(crate) fn unpark(&mut self) {
-        self.next_attempt = None;
-        self.backoff = DIAL_BACKOFF_MIN;
-    }
-}
-
-/// One outbound link's slot. The per-slot mutex serializes dial +
-/// enqueue for that (engine, peer) pair only — it preserves the pair's
-/// FIFO order (one connection at a time) without making unrelated pairs
-/// (or the read workers' concurrent `SliceResp`s) queue on a global
-/// lock, and without ever holding the fabric-wide map lock across a
-/// blocking `connect`.
-type PeerSlot = Arc<Mutex<PeerLink<Outbox>>>;
-
-/// Per-process TCP state: listener addresses, live connections, and
-/// every thread the fabric has spawned.
-pub(crate) struct TcpFabric {
-    /// All servers' listen addresses, DC-major partition order.
-    addrs: Vec<SocketAddr>,
-    n_partitions: u16,
-    client_outbox_bytes: usize,
-    /// Outbound links, one slot per (local engine, remote server) pair.
-    /// Behind an `RwLock` because steady-state sends only *look up*
-    /// their slot (every read worker's `SliceResp`, every tick's
-    /// replication/gossip); the write lock is taken once per pair, on
-    /// first dial.
-    peers: RwLock<HashMap<(ServerId, ServerId), PeerSlot>>,
-    /// Response sinks for connected clients, registered at hello time.
-    clients: RwLock<HashMap<ClientId, Outbox>>,
-    /// Clones of every *live* accepted stream, keyed by connection id
-    /// and tagged with the server that accepted it, for shutdown (and
-    /// per-server kill) severing; each connection's entry is reaped
-    /// when its reader exits, so a long-running cluster with session
-    /// churn does not accumulate fds.
-    conns: Mutex<HashMap<u64, (ServerId, TcpStream)>>,
-    next_conn: AtomicU64,
-    /// Acceptors, connection readers and outbox writers. Finished
-    /// handles are swept opportunistically on accept.
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Socket-boundary metric handles (frames/bytes in and out,
-    /// connection churn, dial parks, the frame-ceiling drop counter —
-    /// 0 on any healthy run, see `send_server`). Injected faults are
-    /// *not* counted under drops; the [`FaultPlan`] keeps its own
-    /// stats.
-    metrics: FabricMetrics,
-    /// Per-server kill flags, DC-major order: a down server sends
-    /// nothing, receives nothing and accepts nothing until
-    /// [`Self::revive_server`].
-    down: Vec<AtomicBool>,
-    /// The deterministic fault plan, when the cluster injects faults.
-    faults: Option<FaultPlan>,
-    closing: AtomicBool,
-}
-
-impl TcpFabric {
-    pub(crate) fn new(
-        addrs: Vec<SocketAddr>,
-        n_partitions: u16,
-        client_outbox_bytes: usize,
-        faults: Option<FaultPlan>,
-    ) -> TcpFabric {
-        let down = addrs.iter().map(|_| AtomicBool::new(false)).collect();
-        TcpFabric {
-            addrs,
-            n_partitions,
-            client_outbox_bytes,
-            peers: RwLock::new(HashMap::new()),
-            clients: RwLock::new(HashMap::new()),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
-            threads: Mutex::new(Vec::new()),
-            metrics: FabricMetrics::new(),
-            down,
-            faults,
-            closing: AtomicBool::new(false),
-        }
-    }
-
-    /// Ships one engine-originated message to a peer server over the
-    /// (lazily dialed) outbound link. Failures degrade exactly like a
-    /// channel send during shutdown: the message is dropped. A parked
-    /// link (peer down, dials refused) drops silently too — packets to
-    /// a dead host.
-    pub(crate) fn send_server(&self, src: ServerId, to: ServerId, msg: &WrenMsg) {
-        // A killed process sends nothing; frames *to* a killed server
-        // would only die against its closed listener.
-        if self.down[src.dc_major_index(self.n_partitions)].load(Ordering::SeqCst)
-            || self.down[to.dc_major_index(self.n_partitions)].load(Ordering::SeqCst)
-        {
-            return;
-        }
-        let Some(frame) = try_frame_wren(msg) else {
-            // Beyond the frame ceiling, which legitimate traffic cannot
-            // reach: client requests are capped with amplification
-            // headroom at their own transport ([`CLIENT_REQ_MAX`]), so
-            // every per-transaction server message derived from one
-            // stays under the ceiling, and multi-transaction `Replicate`
-            // batches share one commit timestamp (HLC ties — a handful
-            // at most, not 64 MiB). Splitting such a batch here would
-            // be UNSOUND: the receiver raises its replication watermark
-            // to `ct` after each message, so a half-applied batch could
-            // become visible as a stable — and torn — snapshot. Drop
-            // instead, and make it observable.
-            self.metrics.dropped_frames.inc();
-            return;
-        };
-        // The fault plan speaks at the frame boundary: the verdict may
-        // multiply the frame (duplicate, released delays) or erase it
-        // (drop), and may order the link severed afterwards.
-        let (frames, sever_after): (Vec<Bytes>, bool) =
-            match self.faults.as_ref().map(|f| f.on_send(src, to, &frame)) {
-                None | Some(SendVerdict::Pass) => (vec![frame], false),
-                Some(SendVerdict::Mutate { frames, sever }) => {
-                    (frames.into_iter().map(Bytes::from).collect(), sever)
-                }
-            };
-        // Shared map lock only long enough to fetch (or, first time,
-        // create) the slot; the (blocking) dial happens under the
-        // slot's own lock, never the map's.
-        let key = (src, to);
-        // The read guard must drop before any write() — binding the
-        // lookup first keeps the scrutinee temporary from holding the
-        // read lock across the write arm.
-        let existing = self.peers.read().get(&key).map(Arc::clone);
-        let slot: PeerSlot = match existing {
-            Some(slot) => slot,
-            None => Arc::clone(self.peers.write().entry(key).or_default()),
-        };
-        let mut link = slot.lock();
-        'transmit: {
-            if frames.is_empty() {
-                break 'transmit; // the plan dropped it: nothing to carry
-            }
-            if let Some(out) = link.out.as_ref() {
-                if frames.iter().all(|f| out.enqueue(f.clone())) {
-                    self.note_sent(&frames, out.queued_bytes());
-                    break 'transmit;
-                }
-                // The link died (peer gone / overflow); redial below.
-                link.out = None;
-            }
-            if self.closing.load(Ordering::SeqCst) || !link.may_dial() {
-                break 'transmit;
-            }
-            match self.dial(src, to) {
-                Ok(out) => {
-                    link.unpark();
-                    for f in &frames {
-                        out.enqueue(f.clone());
-                    }
-                    self.note_sent(&frames, out.queued_bytes());
-                    // Shutdown may have drained the peers map while we
-                    // dialed (our slot Arc would then no longer be
-                    // reachable from it); the re-check ensures the new
-                    // link cannot escape severing.
-                    if self.closing.load(Ordering::SeqCst) {
-                        out.shutdown();
-                        break 'transmit;
-                    }
-                    link.out = Some(out);
-                }
-                // Refused: park and drop the frames, like a dead host.
-                Err(_) => {
-                    link.dial_failed();
-                    self.metrics.dial_backoff_parks.inc();
-                }
-            }
-        }
-        if sever_after {
-            if let Some(out) = link.out.take() {
-                out.shutdown();
-            }
-        }
-    }
-
-    /// Records outbound frames (count, bytes) and the link's queued-
-    /// depth high-water mark after an enqueue.
-    fn note_sent(&self, frames: &[Bytes], queued: usize) {
-        self.metrics.frames_out.add(frames.len() as u64);
-        self.metrics
-            .bytes_out
-            .add(frames.iter().map(|f| f.len() as u64).sum());
-        self.metrics.outbox_depth_bytes.record_max(queued as u64);
-    }
-
-    fn dial(&self, src: ServerId, to: ServerId) -> std::io::Result<Outbox> {
-        if let Some(f) = &self.faults {
-            if !f.allow_dial(src, to) {
-                return Err(std::io::ErrorKind::ConnectionRefused.into());
-            }
-        }
-        let stream = TcpStream::connect(self.addrs[to.dc_major_index(self.n_partitions)])?;
-        stream.set_nodelay(true)?;
-        let (outbox, writer) = Outbox::spawn_instrumented(
-            stream,
-            SERVER_OUTBOX_BYTES,
-            Some(self.metrics.writev_frames_per_call.clone()),
-        )?;
-        outbox.enqueue(Hello::Server(src).encode_framed());
-        self.threads.lock().push(writer);
-        Ok(outbox)
-    }
-
-    /// Ships a response to a connected client; silently dropped if the
-    /// client is gone (its session will time out, as in channel mode).
-    pub(crate) fn send_client(&self, to: ClientId, msg: &WrenMsg) {
-        if let Some(out) = self.clients.read().get(&to) {
-            match try_frame_wren(msg) {
-                Some(frame) => {
-                    self.metrics.frames_out.inc();
-                    self.metrics.bytes_out.add(frame.len() as u64);
-                    out.enqueue(frame);
-                    self.metrics
-                        .outbox_depth_bytes
-                        .record_max(out.queued_bytes() as u64);
-                }
-                // A response beyond the frame ceiling cannot be
-                // delivered; sever the connection so the client fails
-                // fast instead of waiting out its timeout.
-                None => out.shutdown(),
-            }
-        }
-    }
-
-    /// Flags the fabric closed and severs everything: wakes acceptors,
-    /// shuts accepted sockets (waking their reader threads), kills
-    /// outbound and client outboxes. Idempotent — every step tolerates
-    /// having already run.
-    pub(crate) fn shutdown(&self) {
-        self.closing.store(true, Ordering::SeqCst);
-        for addr in &self.addrs {
-            // Wake the acceptor blocked in accept(); it re-checks the
-            // closing flag and exits. The dummy connection is dropped
-            // unserved.
-            let _ = TcpStream::connect_timeout(addr, WAKE_TIMEOUT);
-        }
-        for (_, slot) in self.peers.write().drain() {
-            if let Some(out) = slot.lock().out.take() {
-                out.shutdown();
-            }
-        }
-        for (_, out) in self.clients.write().drain() {
-            out.shutdown();
-        }
-        for (_, (_, conn)) in self.conns.lock().drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-    }
-
-    /// Abruptly takes one server off the network (see the module docs):
-    /// down flag, acceptor wake-and-exit (dropping the listener, so the
-    /// address frees), and a hard sever of every link and connection the
-    /// victim owns. Peers and sessions observe EOF mid-stream.
-    pub(crate) fn kill_server(&self, id: ServerId) {
-        let idx = id.dc_major_index(self.n_partitions);
-        self.down[idx].store(true, Ordering::SeqCst);
-        // Wake the victim's acceptor blocked in accept(); it observes
-        // the down flag and exits, releasing the listening socket.
-        let _ = TcpStream::connect_timeout(&self.addrs[idx], WAKE_TIMEOUT);
-        // Outbound links from the victim (its process died) and toward
-        // it (its end of those sockets died).
-        for (&(from, to), slot) in self.peers.read().iter() {
-            if from == id || to == id {
-                if let Some(out) = slot.lock().out.take() {
-                    out.shutdown();
-                }
-            }
-        }
-        // Accepted connections the victim owned: inbound peer links and
-        // client sessions get EOF, their reader threads exit and reap
-        // the registry entries.
-        for (owner, conn) in self.conns.lock().values() {
-            if *owner == id {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
-        }
-    }
-
-    /// Puts a restarted server back on the network: clears the down
-    /// flag and unparks every peer link toward it, so the first
-    /// post-restart send re-dials immediately instead of waiting out a
-    /// backoff window. The caller re-arms the accept path by handing a
-    /// fresh listener to [`spawn_acceptors`].
-    pub(crate) fn revive_server(&self, id: ServerId) {
-        let idx = id.dc_major_index(self.n_partitions);
-        self.down[idx].store(false, Ordering::SeqCst);
-        for (&(_, to), slot) in self.peers.read().iter() {
-            if to == id {
-                slot.lock().unpark();
-            }
-        }
-    }
-
-    /// Server→server messages refused for exceeding the frame ceiling
-    /// (0 on any healthy run; the loopback oracle suite asserts it).
-    /// Thin shim over the registry counter of the same name.
-    pub(crate) fn dropped_frames(&self) -> u64 {
-        self.metrics.dropped_frames.get()
-    }
-
-    /// The fabric's metric registry (folded into the cluster snapshot).
-    pub(crate) fn registry(&self) -> wren_obs::Registry {
-        self.metrics.registry()
-    }
-
-    /// Joins every fabric thread. Loops because connection threads can
-    /// register their outbox writer handles concurrently; once a batch
-    /// is joined, nothing can add more, so the queue drains to empty.
-    pub(crate) fn join_threads(&self) {
-        loop {
-            let batch: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
-            if batch.is_empty() {
-                return;
-            }
-            for handle in batch {
-                let _ = handle.join();
-            }
-        }
-    }
-
-    fn register_client(&self, id: ClientId, outbox: Outbox) {
-        if let Some(old) = self.clients.write().insert(id, outbox.clone()) {
-            // A reconnect (e.g. after migration) displaces the old
-            // registration; sever the stale connection.
-            old.shutdown();
-        }
-        // Shutdown may have drained the client map between the insert
-        // and its sweep; re-checking after the insert guarantees one
-        // side sees the other (the closing store precedes the sweep).
-        if self.closing.load(Ordering::SeqCst) {
-            outbox.shutdown();
-        }
-    }
-
-    fn unregister_client(&self, id: ClientId, outbox: &Outbox) {
-        let mut clients = self.clients.write();
-        if clients.get(&id).is_some_and(|cur| cur.same_as(outbox)) {
-            clients.remove(&id);
-        }
-    }
-}
-
-/// Spawns the acceptor threads, one per local server, after the router
-/// (and its fabric) exist. Handles are parked in the fabric.
-pub(crate) fn spawn_acceptors(router: &Arc<Router>, listeners: Vec<(ServerId, TcpListener)>) {
-    let fabric = router.tcp_threaded().expect("acceptors need a threaded TCP fabric");
-    let mut threads = fabric.threads.lock();
-    for (me, listener) in listeners {
-        let router = Arc::clone(router);
-        threads.push(std::thread::spawn(move || accept_loop(me, listener, router)));
-    }
-}
-
-fn accept_loop(me: ServerId, listener: TcpListener, router: Arc<Router>) {
-    let fabric = router.tcp_threaded().expect("threaded TCP fabric");
-    let me_idx = me.dc_major_index(fabric.n_partitions);
-    loop {
-        // Exiting drops the listener — on a kill that is the point: the
-        // address frees for the restart's `SO_REUSEADDR` rebind.
-        if fabric.closing.load(Ordering::SeqCst) || fabric.down[me_idx].load(Ordering::SeqCst) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                // Transient (EMFILE under fd pressure, EINTR): back off
-                // briefly instead of burning a core on the error.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        // Register the raw socket for shutdown *before* any reads, so
-        // even a connection still dribbling its hello is severable. A
-        // conn we cannot register we must not serve: its reader thread
-        // would be un-severable and hang join_threads at shutdown.
-        let conn_id = fabric.next_conn.fetch_add(1, Ordering::Relaxed);
-        match stream.try_clone() {
-            Ok(clone) => {
-                fabric.conns.lock().insert(conn_id, (me, clone));
-            }
-            Err(_) => {
-                let _ = stream.shutdown(Shutdown::Both);
-                continue;
-            }
-        }
-        // Re-check AFTER registering: shutdown (and kill_server) store
-        // their flag before sweeping `conns`, so a connection accepted
-        // during the race is severed by exactly one side — the sweep
-        // (if the push won) or this branch (if it lost). Without the
-        // ordering, a conn accepted mid-shutdown could escape severing
-        // and leave its reader thread blocking `join_threads` forever.
-        if fabric.closing.load(Ordering::SeqCst) || fabric.down[me_idx].load(Ordering::SeqCst) {
-            let _ = stream.shutdown(Shutdown::Both);
-            fabric.conns.lock().remove(&conn_id);
-            return;
-        }
-        fabric.metrics.conns_accepted.inc();
-        let _ = stream.set_nodelay(true);
-        let router = Arc::clone(&router);
-        let handle = std::thread::spawn(move || serve_conn(me, conn_id, stream, router));
-        // Sweep finished reader/writer handles while we are here, so
-        // session churn does not grow the join list without bound
-        // (dropping a finished handle just detaches a dead thread).
-        let mut threads = fabric.threads.lock();
-        threads.retain(|h| !h.is_finished());
-        threads.push(handle);
-    }
-}
-
-/// One accepted connection: handshake, then frames → local dispatch
-/// until EOF, error, or fabric shutdown. Reaps the connection's
-/// shutdown-registry entry on the way out, whatever the exit path.
-fn serve_conn(me: ServerId, conn_id: u64, stream: TcpStream, router: Arc<Router>) {
-    let fabric = router.tcp_threaded().expect("threaded TCP fabric");
-    let mut reader = FramedReader::new(stream);
-    if let Ok(hello) = reader.read_hello() {
-        match hello {
-            // A forged out-of-range ServerId would index out of bounds
-            // in version vectors and the address table downstream —
-            // validate at the boundary, sever on nonsense.
-            Hello::Server(src)
-                if src.partition.index() < fabric.n_partitions as usize
-                    && src.dc_major_index(fabric.n_partitions) < fabric.addrs.len() =>
-            {
-                // Inbound server links are read-only: replies travel on
-                // the replier's own outbound link, so no outbox here.
-                read_frames(&mut reader, legal_from_server, |msgs, bytes| {
-                    fabric.metrics.frames_in.add(msgs.len() as u64);
-                    fabric.metrics.bytes_in.add(bytes as u64);
-                    router.deliver_local_batch(Dest::Server(src), me, msgs);
-                });
-                // The conn that carried `src`-origin traffic died (EOF,
-                // error, or a sever). Tell the engine, so a sibling's
-                // death opens a catch-up window — unless the loss is
-                // our own teardown, which needs no reaction.
-                let me_idx = me.dc_major_index(fabric.n_partitions);
-                if !fabric.closing.load(Ordering::SeqCst)
-                    && !fabric.down[me_idx].load(Ordering::SeqCst)
-                {
-                    router.notify_link_lost(me, src);
-                }
-            }
-            Hello::Server(_) => {}
-            Hello::Client(id) => serve_client_conn(me, id, &mut reader, &router, fabric),
-        }
-    }
-    fabric.metrics.conns_severed.inc();
-    fabric.conns.lock().remove(&conn_id);
-}
-
-/// The client half of [`serve_conn`]: outbox + registration around the
-/// frame loop.
-fn serve_client_conn(
-    me: ServerId,
-    id: ClientId,
-    reader: &mut FramedReader,
-    router: &Arc<Router>,
-    fabric: &TcpFabric,
-) {
-    let Ok(write_half) = reader.stream().try_clone() else {
-        return;
-    };
-    let Ok((outbox, writer)) = Outbox::spawn_instrumented(
-        write_half,
-        fabric.client_outbox_bytes,
-        Some(fabric.metrics.writev_frames_per_call.clone()),
-    ) else {
-        return;
-    };
-    fabric.threads.lock().push(writer);
-    fabric.register_client(id, outbox.clone());
-    read_frames(reader, legal_from_client, |msgs, bytes| {
-        fabric.metrics.frames_in.add(msgs.len() as u64);
-        fabric.metrics.bytes_in.add(bytes as u64);
-        router.deliver_local_batch(Dest::Client(id), me, msgs);
-    });
-    fabric.unregister_client(id, &outbox);
-    // Hard shutdown, not a graceful flush: the reader only exits when
-    // the client is gone or misbehaving, and a half-closed client that
-    // stopped reading would otherwise leave the outbox writer blocked
-    // in write(2) with its socket already gone from every registry —
-    // unjoinable at cluster stop.
-    outbox.shutdown();
-}
-
 /// Messages a client session may legitimately send its coordinator,
 /// within the transport's amplification bounds. Anything else on a
 /// client connection (a `SliceReq`, a response type, gossip, an
@@ -679,9 +75,8 @@ fn serve_client_conn(
 /// machines only expect from trusted sources, or force the engine to
 /// build an unframeable reply — filtered at the boundary so remote
 /// frames can never trip a server-side `debug_assert` or the
-/// server→server frame ceiling. Shared with the reactor fabric: the
-/// boundary rules are a property of the protocol, not of the thread
-/// topology serving the socket.
+/// server→server frame ceiling. The fabric applies it to every frame
+/// on a client connection; [`TcpLink::send`] applies it before sending.
 pub(crate) fn legal_from_client(msg: &WrenMsg) -> bool {
     match msg {
         WrenMsg::StartTxReq { .. } => true,
@@ -695,7 +90,6 @@ pub(crate) fn legal_from_client(msg: &WrenMsg) -> bool {
 /// intra-DC transaction traffic, replication, and gossip — not the
 /// client-only requests and not the client-bound responses. `SliceReq`
 /// carries the same keys bound as the client read it derives from.
-/// Shared with the reactor fabric.
 pub(crate) fn legal_from_server(msg: &WrenMsg) -> bool {
     match msg {
         WrenMsg::SliceReq { keys, .. } => keys.len() <= MAX_READ_KEYS,
@@ -718,82 +112,6 @@ pub(crate) fn legal_from_server(msg: &WrenMsg) -> bool {
         | WrenMsg::TxReadResp { .. }
         | WrenMsg::CommitResp { .. } => false,
     }
-}
-
-/// Reads frames until EOF/error, delivering decoded messages that pass
-/// the connection's legality filter in **bursts**: one blocking read
-/// for the burst's first frame, then every further frame the socket
-/// read(s) already buffered (via [`FramedReader::buffered_frame`]),
-/// handed to `deliver` together with their total payload bytes — so a
-/// pipelined run of requests costs one downstream delivery, not one
-/// per frame. A corrupt or protocol-illegal frame severs the
-/// connection — after the burst's earlier legal frames are delivered,
-/// exactly as the one-frame-at-a-time loop behaved.
-fn read_frames(
-    reader: &mut FramedReader,
-    legal: fn(&WrenMsg) -> bool,
-    mut deliver: impl FnMut(Vec<WrenMsg>, usize),
-) {
-    loop {
-        let mut burst = Vec::new();
-        let mut bytes = 0usize;
-        // Block for the burst's first frame…
-        match reader.next_frame() {
-            Ok(Some(payload)) => match WrenMsg::decode(&payload) {
-                Ok(msg) if legal(&msg) => {
-                    bytes += payload.len();
-                    burst.push(msg);
-                }
-                _ => return, // corrupt or protocol-illegal peer: sever
-            },
-            Ok(None) | Err(_) => return,
-        }
-        // …then drain what the decoder already holds, socket untouched.
-        let mut sever = false;
-        loop {
-            match reader.buffered_frame() {
-                Ok(Some(payload)) => match WrenMsg::decode(&payload) {
-                    Ok(msg) if legal(&msg) => {
-                        bytes += payload.len();
-                        burst.push(msg);
-                    }
-                    _ => {
-                        sever = true;
-                        break;
-                    }
-                },
-                Ok(None) => break,
-                Err(_) => {
-                    sever = true;
-                    break;
-                }
-            }
-        }
-        deliver(burst, bytes);
-        if sever {
-            return;
-        }
-    }
-}
-
-/// A bound listener tagged with the server it serves.
-pub(crate) type BoundListeners = Vec<(ServerId, TcpListener)>;
-
-/// Binds one loopback listener per server, DC-major partition order.
-pub(crate) fn bind_listeners(
-    n_dcs: u8,
-    n_partitions: u16,
-) -> std::io::Result<(BoundListeners, Vec<SocketAddr>)> {
-    let mut listeners = Vec::new();
-    let mut addrs = Vec::new();
-    for dc in 0..n_dcs {
-        for p in 0..n_partitions {
-            let listener = TcpListener::bind(("127.0.0.1", 0))?;
-            addrs.push(listener.local_addr()?);
-            listeners.push((ServerId::new(dc, p), listener));
-        }
-    }
-    Ok((listeners, addrs))
 }
 
 // ---------------------------------------------------------------------
@@ -870,9 +188,7 @@ impl TcpLink {
     /// generous budget rides out a kill-to-restart window entirely; a
     /// refused dial beyond the budget means the partition is genuinely
     /// down and the error names its address ([`RtError::Unreachable`]).
-    ///
-    /// [`RtError::Unreachable`]: crate::RtError::Unreachable
-    fn connect(&mut self, to: ServerId) -> Result<(), crate::RtError> {
+    fn connect(&mut self, to: ServerId) -> Result<(), RtError> {
         use std::io::Write;
         let addr = self.addrs[to.dc_major_index(self.n_partitions)];
         let deadline = Instant::now() + self.dial_budget;
@@ -883,12 +199,12 @@ impl TcpLink {
                 Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
                     let now = Instant::now();
                     if now >= deadline {
-                        return Err(crate::RtError::Unreachable(addr));
+                        return Err(RtError::Unreachable(addr));
                     }
                     std::thread::sleep(jittered(backoff).min(deadline - now));
                     backoff = (backoff * 2).min(DIAL_BACKOFF_MAX);
                 }
-                Err(_) => return Err(crate::RtError::Shutdown),
+                Err(_) => return Err(RtError::Shutdown),
             }
         };
         let io = (|| -> std::io::Result<PeerIo> {
@@ -901,7 +217,7 @@ impl TcpLink {
                 reader: FramedReader::new(stream),
             })
         })()
-        .map_err(|_| crate::RtError::Shutdown)?;
+        .map_err(|_| RtError::Shutdown)?;
         self.conns.insert(to, io);
         Ok(())
     }
@@ -914,10 +230,10 @@ impl TcpLink {
     /// per read). The size bounds are also enforced at the server's
     /// accepting boundary; checking here turns a would-be severed
     /// connection into a clean client-side error.
-    pub(crate) fn send(&mut self, to: ServerId, msg: &WrenMsg) -> Result<(), crate::RtError> {
+    pub(crate) fn send(&mut self, to: ServerId, msg: &WrenMsg) -> Result<(), RtError> {
         use std::io::Write;
         if !legal_from_client(msg) {
-            return Err(crate::RtError::TooLarge);
+            return Err(RtError::TooLarge);
         }
         // Within CLIENT_REQ_MAX < MAX_FRAME_LEN, so framing can't fail.
         let frame = frame_wren(msg);
@@ -928,27 +244,27 @@ impl TcpLink {
         let conn = self.conns.get_mut(&to).expect("just ensured");
         if conn.write.write_all(&frame).is_err() {
             self.conns.remove(&to);
-            return Err(crate::RtError::Shutdown);
+            return Err(RtError::Shutdown);
         }
         Ok(())
     }
 
     /// Blocks for the response to the last request.
-    pub(crate) fn recv(&mut self) -> Result<WrenMsg, crate::RtError> {
-        let active = self.active.ok_or(crate::RtError::Shutdown)?;
-        let conn = self.conns.get_mut(&active).ok_or(crate::RtError::Shutdown)?;
+    pub(crate) fn recv(&mut self) -> Result<WrenMsg, RtError> {
+        let active = self.active.ok_or(RtError::Shutdown)?;
+        let conn = self.conns.get_mut(&active).ok_or(RtError::Shutdown)?;
         match conn.reader.next_frame() {
             Ok(Some(payload)) => {
-                WrenMsg::decode(&payload).map_err(|_| crate::RtError::Shutdown)
+                WrenMsg::decode(&payload).map_err(|_| RtError::Shutdown)
             }
             Ok(None) => {
                 self.conns.remove(&active);
-                Err(crate::RtError::Shutdown)
+                Err(RtError::Shutdown)
             }
-            Err(e) if e.is_timeout() => Err(crate::RtError::Timeout),
+            Err(e) if e.is_timeout() => Err(RtError::Timeout),
             Err(_) => {
                 self.conns.remove(&active);
-                Err(crate::RtError::Shutdown)
+                Err(RtError::Shutdown)
             }
         }
     }

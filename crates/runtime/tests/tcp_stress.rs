@@ -4,14 +4,12 @@
 //! the slow reader is disconnected by its bounded outbox, and shutdown
 //! still joins every thread deterministically afterwards.
 //!
-//! Every scenario runs against **all socket fabrics** — the threaded
-//! one (reader + outbox-writer thread per connection), the epoll
-//! reactor (fixed thread pool), and the reactor on the io_uring
-//! backend where the kernel offers it — with identical assertions:
+//! Every scenario runs against **both reactor backends** — epoll, and
+//! io_uring where the kernel offers it — with identical assertions:
 //! the slow-client semantics are a contract of the transport, not of
-//! the thread topology (or syscall interface) serving it. On hosts
-//! without io_uring the uring leg falls back to epoll with a notice;
-//! the assertions still hold on the fallback.
+//! the syscall interface serving it. On hosts without io_uring the
+//! uring leg falls back to epoll with a notice; the assertions still
+//! hold on the fallback.
 
 use bytes::Bytes;
 use std::io::{Read, Write};
@@ -23,7 +21,7 @@ use wren_protocol::frame::{frame_wren, FrameDecoder};
 use wren_protocol::{ClientId, Key, WrenMsg};
 use wren_rt::{Backend, Cluster, ClusterBuilder};
 
-/// How a scenario turns a builder into a TCP-mode cluster: each fabric
+/// How a scenario turns a builder into a TCP-mode cluster: each backend
 /// appears once, tagged for assertion messages.
 type FabricCfg = (&'static str, fn(ClusterBuilder) -> ClusterBuilder);
 
@@ -33,12 +31,8 @@ fn tcp_uring(b: ClusterBuilder) -> ClusterBuilder {
     b.tcp().backend(Backend::Uring)
 }
 
-fn fabrics() -> [FabricCfg; 3] {
-    [
-        ("threaded", ClusterBuilder::tcp_threaded),
-        ("reactor", ClusterBuilder::tcp),
-        ("uring", tcp_uring),
-    ]
+fn fabrics() -> [FabricCfg; 2] {
+    [("reactor", ClusterBuilder::tcp), ("uring", tcp_uring)]
 }
 
 /// Loud notice when the `uring` leg actually ran on the epoll fallback

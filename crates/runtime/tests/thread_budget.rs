@@ -4,10 +4,10 @@
 //! the thread count of a 2-session one, and the per-connection fds must
 //! be reaped once sessions drop.
 //!
-//! (The threaded fabric intentionally fails this — it spends a reader
-//! thread plus an outbox-writer thread per connection — which is the
-//! reason the reactor exists; see ISSUE 5 / the ROADMAP's "Async/epoll
-//! transport" item.)
+//! (A fabric with a reader and a writer thread per connection would
+//! fail this; the repo shipped one until ISSUE 20 deleted it — see the
+//! ROADMAP's "Async/epoll transport" and "Collapse the transport
+//! matrix" items.)
 //!
 //! This test lives alone in its file on purpose: `cargo test` runs the
 //! tests of one binary concurrently, and any neighbor would perturb the

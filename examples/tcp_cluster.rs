@@ -25,12 +25,12 @@
 //!    from the fabric, session-op latencies — with tail percentiles,
 //!    Prometheus rendering and per-partition trace rings.
 //! 5. **Measure all three transports** (`wren_harness::run_rt`): the
-//!    same closed-loop workload over channels, reactor TCP and
-//!    threaded TCP. Channel→TCP is the end-to-end price of
+//!    same closed-loop workload over channels, epoll-reactor TCP and
+//!    uring-reactor TCP. Channel→TCP is the end-to-end price of
 //!    serialization plus kernel round-trips — the cost the paper's
-//!    cluster experiments pay on every operation; reactor→threaded is
-//!    the thread-topology difference at the same wire cost, and it
-//!    lives in the tail (p99/p999), which the mean hides.
+//!    cluster experiments pay on every operation; epoll→uring is the
+//!    syscall-interface difference at the same thread topology and
+//!    wire cost. Compare the tails (p99/p999) too; the mean hides them.
 //! 6. **Shut down deterministically**: listeners closed, in-flight
 //!    connections severed, every reactor thread joined. Run it twice;
 //!    `shutdown` is idempotent.
@@ -151,7 +151,6 @@ fn main() {
     for (name, transport) in [
         ("channel", RtTransport::Channel),
         ("tcp-reactor", RtTransport::Tcp),
-        ("tcp-threaded", RtTransport::TcpThreaded),
         ("tcp-uring", RtTransport::TcpUring),
     ] {
         let result = run_rt(&RtSpec {

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use wren::protocol::{Key, ServerId};
-use wren::rt::{Cluster, ClusterBuilder, FaultPlan, FsyncPolicy, RtError, Session};
+use wren::rt::{Backend, Cluster, ClusterBuilder, FaultPlan, FsyncPolicy, RtError, Session};
 
 fn bval(i: u64) -> Bytes {
     Bytes::from(i.to_le_bytes().to_vec())
@@ -132,7 +132,7 @@ fn expect_converges(
     }
 }
 
-/// Drives one fabric through the storm. `seed` feeds both the fault
+/// Drives one reactor backend through the storm. `seed` feeds both the fault
 /// plan and the schedule RNG, so the whole run replays from one number.
 fn chaos_run(
     fabric_name: &str,
@@ -161,6 +161,9 @@ fn chaos_run(
         .tx_abort_timeout(Duration::from_millis(300))
         .fault_plan(plan.clone())
         .build();
+    if fabric_name == "uring" && cluster.tcp_backend() == Some(Backend::Epoll) {
+        eprintln!("SKIP [uring]: io_uring unavailable, leg ran on the epoll fallback");
+    }
 
     // Writers live on partition 0 of each DC; kills only ever target
     // partition 1, so a writer's coordinator is never the victim (its
@@ -255,8 +258,12 @@ fn chaos_failover_reactor_fabric() {
 }
 
 #[test]
-fn chaos_failover_threaded_fabric() {
-    // Offset the seed so the two fabrics see different storms by
+fn chaos_failover_uring_fabric() {
+    // Offset the seed so the two backends see different storms by
     // default while both remain replayable via CHAOS_SEED.
-    chaos_run("threaded", ClusterBuilder::tcp_threaded, chaos_seed() ^ 1);
+    chaos_run(
+        "uring",
+        |b| b.tcp().backend(Backend::Uring),
+        chaos_seed() ^ 1,
+    );
 }

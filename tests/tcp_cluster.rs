@@ -110,15 +110,12 @@ fn random_live_history(cluster: &Cluster, seed: u64, sessions_per_dc: usize, txs
 
 /// The headline check: the full causal/session oracle against a
 /// TCP-backed loopback cluster, multi-DC, with zero blocked reads and
-/// a loss-free transport — over **all** socket fabrics (the epoll
-/// reactor behind [`ClusterBuilder::tcp`], the per-connection-thread
-/// fabric behind [`ClusterBuilder::tcp_threaded`], and the reactor on
-/// the io_uring backend where the kernel offers it).
+/// a loss-free transport — on **both** reactor backends (epoll behind
+/// [`ClusterBuilder::tcp`], and io_uring where the kernel offers it).
 #[test]
 fn tcp_loopback_cluster_passes_causal_oracle() {
     for (seed, fabric) in [
         (42u64, ClusterBuilder::tcp as fn(ClusterBuilder) -> ClusterBuilder),
-        (43u64, ClusterBuilder::tcp_threaded),
         (44u64, tcp_uring),
     ] {
         let cluster = fabric(ClusterBuilder::new().dcs(2).partitions(2)).build();
@@ -166,10 +163,10 @@ fn tcp_oracle_across_engine_configs() {
     }
 }
 
-/// The same seeded schedule against all four transports — in-process
-/// channels, threaded TCP, epoll-reactor TCP, uring-reactor TCP: the
-/// oracle holds on each, and the deterministic fragment (a session's
-/// own final reads after quiescence) is identical across all of them.
+/// The same seeded schedule against all three transports — in-process
+/// channels, epoll-reactor TCP, uring-reactor TCP: the oracle holds on
+/// each, and the deterministic fragment (a session's own final reads
+/// after quiescence) is identical across all of them.
 #[test]
 fn channel_and_tcp_agree_on_scripted_results() {
     fn scripted(cluster: &Cluster) -> Vec<(Key, Option<Vec<u8>>)> {
@@ -208,18 +205,12 @@ fn channel_and_tcp_agree_on_scripted_results() {
     }
 
     let channel_cluster = ClusterBuilder::new().dcs(1).partitions(3).build();
-    let threaded_cluster = ClusterBuilder::new().dcs(1).partitions(3).tcp_threaded().build();
     let reactor_cluster = ClusterBuilder::new().dcs(1).partitions(3).tcp().build();
     let uring_cluster = tcp_uring(ClusterBuilder::new().dcs(1).partitions(3)).build();
     let _ = uring_skipped(&uring_cluster, "channel_and_tcp_agree_on_scripted_results");
     let via_channel = scripted(&channel_cluster);
-    let via_threaded = scripted(&threaded_cluster);
     let via_reactor = scripted(&reactor_cluster);
     let via_uring = scripted(&uring_cluster);
-    assert_eq!(
-        via_channel, via_threaded,
-        "the threaded fabric must not change what a quiesced cluster serves"
-    );
     assert_eq!(
         via_channel, via_reactor,
         "the reactor fabric must not change what a quiesced cluster serves"
@@ -231,7 +222,6 @@ fn channel_and_tcp_agree_on_scripted_results() {
     assert_eq!(reactor_cluster.tcp_dropped_frames(), 0);
     assert_eq!(uring_cluster.tcp_dropped_frames(), 0);
     channel_cluster.stop();
-    threaded_cluster.stop();
     reactor_cluster.stop();
     uring_cluster.stop();
 }
