@@ -14,7 +14,12 @@ pub struct WrenConfig {
     /// (Algorithm 4 line 5), in microseconds.
     pub replication_tick_micros: u64,
     /// Δ_G: how often partitions exchange BiST stabilization gossip
-    /// (Algorithm 4 line 29), in microseconds.
+    /// (Algorithm 4 line 29), in microseconds — the paper's 5 ms by
+    /// default. For a driver that only ticks this sets the cadence of
+    /// the stable cut. A driver that also calls
+    /// [`WrenServer::stabilize`](crate::WrenServer::stabilize) pushes on
+    /// every change, and Δ_G becomes the heartbeat that repairs a lost
+    /// push and the period of the crash-resolution work.
     pub gossip_tick_micros: u64,
     /// How often partitions exchange GC watermarks and prune version
     /// chains, in microseconds. Zero disables garbage collection.

@@ -15,8 +15,9 @@
 //!   dependencies), regardless of the number of DCs or partitions
 //!   ([`wren_protocol::WrenVersion`]).
 //! * **BiST** (Binary Stable Time) — partitions gossip two scalars and
-//!   derive the LST/RST watermarks that define snapshots
-//!   ([`WrenServer::on_gossip_tick`]).
+//!   derive the LST/RST watermarks that define snapshots — every Δ_G
+//!   ([`WrenServer::on_gossip_tick`]), or as soon as they move
+//!   ([`WrenServer::stabilize`]).
 //!
 //! The state machines perform no I/O and read no clocks: drivers (the
 //! deterministic simulator in `wren-harness`, the threaded runtime in

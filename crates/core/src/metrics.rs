@@ -124,6 +124,10 @@ pub struct ServerMetrics {
     pub visibility_lag_local_gauge: Gauge,
     /// Latest remote visibility lag.
     pub visibility_lag_remote_gauge: Gauge,
+    /// Stabilization messages emitted (`StableGossip`, `GossipUp` and
+    /// `GossipDown`, cascades included): the metadata price of a fresh
+    /// stable cut.
+    pub gossip_msgs_sent: Counter,
     /// In-doubt 2PC rounds the coordinator aborted (and reported to the
     /// client; see the chaos oracle's exactness argument).
     pub tx_aborts_indoubt: Counter,
@@ -166,6 +170,7 @@ impl ServerMetrics {
             visibility_lag_remote_micros: registry.histogram("visibility_lag_remote_micros"),
             visibility_lag_local_gauge: registry.gauge("visibility_lag_local"),
             visibility_lag_remote_gauge: registry.gauge("visibility_lag_remote"),
+            gossip_msgs_sent: registry.counter("gossip_msgs_sent"),
             tx_aborts_indoubt: registry.counter("tx_aborts_indoubt"),
             slices_served: registry.counter("slices_served"),
             keys_read: registry.counter("keys_read"),

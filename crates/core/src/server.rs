@@ -188,6 +188,17 @@ struct CommittedTx {
 /// schedule. Physical time is read through a [`SkewedClock`], so clock
 /// skew between servers is part of the model.
 ///
+/// **Stabilization cadence is the driver's choice.** A driver that only
+/// calls `on_gossip_tick` gets the paper's cadence: the BiST contribution
+/// leaves every Δ_G, and a write becomes visible up to one Δ_G per tree
+/// level after its version clock passes it (the simulator does this, so
+/// its Wren and Cure figures run at the same Δ_G). A driver that also
+/// calls [`stabilize`](WrenServer::stabilize) at the end of every turn
+/// pushes the contribution as soon as it moves, and the tick is left as
+/// the idle heartbeat that repairs lost pushes (`wren-rt`'s engine does
+/// this). The messages and the stable cut they produce are the same
+/// either way; only when they leave differs.
+///
 /// Key invariant (the reason reads never block): once the version clock
 /// `VV[m]` is advanced to `ub`, no transaction will ever commit on this
 /// partition with `ct ≤ ub`. The LST (a min over version clocks) therefore
@@ -213,6 +224,9 @@ pub struct WrenServer {
     tx_ctx: HashMap<TxId, TxCtx>,
     /// Latest BiST contribution `(VV[m], min_{i≠m} VV[i])` per partition.
     gossip_contrib: Vec<(Timestamp, Timestamp)>,
+    /// The subtree contribution last pushed, so
+    /// [`stabilize`](WrenServer::stabilize) sends only when it moved.
+    gossip_sent: (Timestamp, Timestamp),
     /// Latest GC contribution `(oldest lt, oldest rt)` per partition.
     gc_contrib: Vec<(Timestamp, Timestamp)>,
     stats: ServerStats,
@@ -309,6 +323,7 @@ impl WrenServer {
             next_seq: 1,
             tx_ctx: HashMap::new(),
             gossip_contrib: vec![(Timestamp::ZERO, Timestamp::ZERO); n],
+            gossip_sent: (Timestamp::ZERO, Timestamp::ZERO),
             gc_contrib: vec![(Timestamp::ZERO, Timestamp::ZERO); n],
             stats: ServerStats::default(),
             vis: VisibilitySampler::new(cfg.visibility_sample_every),
@@ -537,7 +552,9 @@ impl WrenServer {
                     debug_assert!(false, "GossipUp must come from a server");
                     return;
                 };
-                // A child's subtree minimum; folded in at the next tick.
+                // A child's subtree minimum: folded in and passed on by
+                // the next push (`stabilize` at the end of this turn, or
+                // the tick).
                 self.gossip_contrib[child.partition.index()] = (local, remote);
             }
             WrenMsg::GossipDown { lst, rst } => {
@@ -547,6 +564,9 @@ impl WrenServer {
                 for &child in &self.children {
                     out.push(Outgoing::to_server(child, WrenMsg::GossipDown { lst, rst }));
                 }
+                self.metrics
+                    .gossip_msgs_sent
+                    .add(self.children.len() as u64);
             }
             WrenMsg::GcGossip {
                 oldest_lt,
@@ -1150,55 +1170,103 @@ impl WrenServer {
         self.stats.replicate_batches_sent += n as u64;
     }
 
-    /// Algorithm 4 lines 29–31 (Δ_G): exchange this partition's BiST
-    /// contribution — two scalar timestamps — and refresh LST/RST.
+    /// Algorithm 4 lines 29–31 (Δ_G): the periodic half of
+    /// stabilization. Runs the crash-resolution work that lives on this
+    /// cadence (`durability_tick`: vote re-sends, in-doubt aborts, the
+    /// `Stable` WAL record), then pushes this partition's BiST
+    /// contribution *unconditionally*.
+    ///
+    /// For a driver that only ticks, this is the paper's exchange: every
+    /// Δ_G each partition sends its two scalars and refreshes LST/RST.
+    /// For a driver that also calls [`stabilize`](Self::stabilize), the
+    /// contribution has usually left already, and the tick is the idle
+    /// heartbeat: its unconditional push repairs one lost to a severed
+    /// link or a dropped message, which a quiet partition would otherwise
+    /// never re-send, freezing the cut.
+    pub fn on_gossip_tick(&mut self, now_micros: u64, out: &mut Vec<Outgoing<WrenMsg>>) {
+        self.durability_tick(now_micros, out);
+        let contribution = self.stable_contribution();
+        self.push_stable(contribution, now_micros, out);
+    }
+
+    /// Change-driven stabilization: pushes this partition's BiST
+    /// contribution exactly as [`on_gossip_tick`](Self::on_gossip_tick)
+    /// does, but only if it moved since the last push. When nothing
+    /// moved it costs a few compares and sends nothing.
+    ///
+    /// A driver calls this at the end of each turn (after a burst of
+    /// messages or a tick) to make a write visible as soon as the version
+    /// clocks pass it, instead of waiting for the next Δ_G. In tree mode
+    /// that includes a turn that only received a child's `GossipUp`: the
+    /// child's subtree minimum is folded in and passed on, so the root
+    /// answers in the same turn and a tree level costs one message
+    /// delay, not one tick.
+    pub fn stabilize(&mut self, now_micros: u64, out: &mut Vec<Outgoing<WrenMsg>>) {
+        let contribution = self.stable_contribution();
+        if contribution != self.gossip_sent {
+            self.push_stable(contribution, now_micros, out);
+        }
+    }
+
+    /// This partition's BiST contribution: its own `(VV[m], min_{i≠m}
+    /// VV[i])`, folded in tree mode with its children's last `GossipUp`.
+    fn stable_contribution(&self) -> (Timestamp, Timestamp) {
+        let mut local = self.version_clock();
+        let mut remote = self.vv.min_except(self.dc_index());
+        for child in &self.children {
+            let (cl, cr) = self.gossip_contrib[child.partition.index()];
+            local = local.min(cl);
+            remote = remote.min(cr);
+        }
+        (local, remote)
+    }
+
+    /// Sends `contribution` (from [`stable_contribution`]) and refreshes
+    /// LST/RST.
     ///
     /// With [`WrenConfig::gossip_fanout`] = 0, every partition broadcasts
     /// to every other. Otherwise contributions aggregate up a k-ary tree
     /// and the root's result cascades back down, reducing the per-round
     /// message count from N(N−1) to 2(N−1).
-    pub fn on_gossip_tick(&mut self, now_micros: u64, out: &mut Vec<Outgoing<WrenMsg>>) {
-        self.durability_tick(now_micros, out);
-        let local = self.version_clock();
-        let remote = self.vv.min_except(self.dc_index());
-        self.gossip_contrib[self.id.partition.index()] = (local, remote);
-
+    ///
+    /// [`stable_contribution`]: Self::stable_contribution
+    fn push_stable(
+        &mut self,
+        (local, remote): (Timestamp, Timestamp),
+        now_micros: u64,
+        out: &mut Vec<Outgoing<WrenMsg>>,
+    ) {
+        self.gossip_sent = (local, remote);
         if self.cfg.gossip_fanout == 0 {
+            self.gossip_contrib[self.id.partition.index()] = (local, remote);
             for &peer in &self.peers {
                 out.push(Outgoing::to_server(
                     peer,
                     WrenMsg::StableGossip { local, remote },
                 ));
             }
+            self.metrics.gossip_msgs_sent.add(self.peers.len() as u64);
             self.recompute_stable(now_micros);
             return;
-        }
-
-        // Tree mode: fold own + children subtree minima.
-        let mut sub_local = local;
-        let mut sub_remote = remote;
-        for child in &self.children {
-            let (cl, cr) = self.gossip_contrib[child.partition.index()];
-            sub_local = sub_local.min(cl);
-            sub_remote = sub_remote.min(cr);
         }
         match self.tree_parent() {
             Some(parent) => {
                 out.push(Outgoing::to_server(
                     parent,
-                    WrenMsg::GossipUp {
-                        local: sub_local,
-                        remote: sub_remote,
-                    },
+                    WrenMsg::GossipUp { local, remote },
                 ));
+                self.metrics.gossip_msgs_sent.inc();
             }
             None => {
                 // Root: the subtree minimum covers the whole DC.
-                self.raise_stable(sub_local, sub_remote, now_micros);
+                self.raise_stable(local, remote, now_micros);
                 let (lst, rst) = self.store.stable();
                 for &child in &self.children {
                     out.push(Outgoing::to_server(child, WrenMsg::GossipDown { lst, rst }));
                 }
+                self.metrics
+                    .gossip_msgs_sent
+                    .add(self.children.len() as u64);
             }
         }
     }

@@ -23,6 +23,10 @@ pub struct Ticks {
 /// A Wren partition server wrapped as a simulator node: charges CPU per
 /// the [`ServiceModel`], re-arms its own periodic timers, and routes
 /// state-machine outputs through the [`Layout`].
+///
+/// Stabilization runs at the paper's cadence — on the gossip timer only,
+/// never through [`WrenServer::stabilize`] — so the Fig. 3 / Fig. 7b
+/// reproductions compare Wren and Cure at the same Δ_G.
 pub struct WrenServerNode {
     /// The protocol state machine.
     pub server: WrenServer,

@@ -296,7 +296,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Δ_G: stabilization gossip tick (the paper uses 5 ms).
+    /// Δ_G: stabilization heartbeat (default 5 ms, the paper's tick).
+    /// Engines push the stable cut whenever it moves, so this does not
+    /// set visibility; it sets how soon a lost push is repaired on a
+    /// quiet partition, and the period of vote re-sends, in-doubt
+    /// aborts and the durable `Stable` record.
     pub fn gossip_tick(mut self, d: Duration) -> Self {
         self.gossip_tick = d;
         self

@@ -9,7 +9,11 @@
 //!
 //! * the **writer thread** owns the [`WrenServer`] state machine and all
 //!   mutating protocol handling — start/read fan-out, 2PC, replication,
-//!   gossip, GC ticks ([`server_loop`]);
+//!   stabilization, GC ticks ([`server_loop`]). Stabilization is
+//!   change-driven here: every turn ends by pushing the partition's BiST
+//!   contribution if it moved ([`WrenServer::stabilize`]), so the stable
+//!   cut follows the version clocks at network speed; the gossip tick is
+//!   only the idle heartbeat that repairs a lost push;
 //! * **read workers** ([`read_worker`]) answer `SliceReq` straight from
 //!   storage through a [`SliceReader`] — an `Arc` of the partition's
 //!   stripe-locked `ConcurrentShardedStore` plus the atomic slice
@@ -314,6 +318,14 @@ const MAX_DRAIN: usize = 64;
 /// clock reads or tick checks are paid again. With read workers
 /// attached, `SliceReq`s never reach this loop at all.
 ///
+/// **Stabilization** does not wait for the gossip tick: every turn — a
+/// burst, a tick, the rejoin — ends in [`commit_and_dispatch`], which
+/// first pushes the BiST contribution if the turn moved it. A write is
+/// therefore visible about one replication tick plus a message delay
+/// after it commits, not up to a further Δ_G later. The gossip tick
+/// (default 5 ms, the paper's Δ_G) keeps the crash-resolution work and
+/// an unconditional push that repairs any push lost in transit.
+///
 /// **Durability discipline**: every `router.dispatch` is preceded by a
 /// [`WrenServer::log_commit_point`], so by the time an effect of a
 /// message burst or tick leaves this thread, the WAL records it rests
@@ -509,9 +521,15 @@ impl Held {
     }
 }
 
-/// Flush the WAL to the fsync policy's promise, then let the burst's
-/// outputs leave the thread. The order is the whole point: dispatch is
-/// the moment effects become observable, so the flush must come first.
+/// End a writer turn: push the stable cut if it moved, flush the WAL to
+/// the fsync policy's promise, then let the turn's outputs leave the
+/// thread. The order is the whole point: dispatch is the moment effects
+/// become observable, so the flush must come first — and the push comes
+/// before both, so its gossip rides the same hold rule as everything
+/// else the turn produced. A turn that advanced the version clock, took
+/// in a sibling's heartbeat or batch, or stored a child's `GossipUp`
+/// pushes ([`WrenServer::stabilize`]); a turn that moved nothing sends
+/// nothing.
 ///
 /// Under `FsyncPolicy::Window` the log may be left with unsynced bytes
 /// (deadline open). The outputs that
@@ -532,6 +550,7 @@ fn commit_and_dispatch(
     held: &mut Held,
     now: u64,
 ) {
+    server.stabilize(now, out);
     server.log_commit_point().expect("wal commit point failed");
     if server.log_sync_deadline().is_none() {
         held.release(id, router, clock);

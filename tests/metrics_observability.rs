@@ -144,6 +144,7 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
     assert_eq!(snap.counter("tcp_dropped_frames"), 0, "healthy run dropped frames");
     assert!(snap.counter("slices_served") > 0, "no slices served");
     assert!(snap.counter("keys_read") > 0, "no keys read");
+    assert!(snap.counter("gossip_msgs_sent") > 0, "no stabilization message counted");
     // What the stores hold (a merged gauge is the largest partition's):
     // the run's 8 keys are spread over 2 partitions.
     for g in ["store_keys", "store_versions", "store_heap_bytes"] {
