@@ -21,7 +21,6 @@ fn spec(policy: Option<FsyncPolicy>, txs: usize) -> RtSpec {
     RtSpec {
         dcs: 1,
         partitions: 2,
-        read_workers: 2,
         transport: RtTransport::Tcp,
         sessions_per_dc: 8,
         txs_per_session: txs,

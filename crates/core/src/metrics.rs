@@ -101,7 +101,7 @@ pub struct ServerMetrics {
     pub commit_decide_micros: Histogram,
     /// Commit stage 3 — commit verdict to replication-tick install, µs.
     pub commit_apply_micros: Histogram,
-    /// Read-slice service time in µs (writer path and read workers).
+    /// Read-slice service time in µs (writer path and `SliceReader`s).
     pub read_slice_micros: Histogram,
     /// Synchronous WAL flush (write + fsync) in µs.
     pub wal_fsync_micros: Histogram,

@@ -43,16 +43,45 @@ pub struct ServerStats {
 /// and its [`SliceReader`] handles.
 ///
 /// Registry metrics (lock-free atomics underneath) rather than plain
-/// fields so the slice path needs no `&mut`: with a parallel read
-/// engine, several workers bump them concurrently while the writer
-/// thread owns the rest of [`ServerStats`]. The handles alias the
-/// server's registry, so engine-served reads show up in the partition's
-/// merged snapshot.
+/// fields so the slice path needs no `&mut`: a [`SliceReader`] on any
+/// thread bumps them while the writer thread owns the rest of
+/// [`ServerStats`]. The handles alias the server's registry, so reads
+/// served off the writer thread show up in the partition's merged
+/// snapshot.
 #[derive(Debug)]
 struct ReadPathStats {
     slices_served: wren_obs::Counter,
     keys_read: wren_obs::Counter,
     read_slice_micros: wren_obs::Histogram,
+}
+
+/// Algorithm 3 lines 1–12: the freshest version of each key visible at
+/// snapshot `(lt, rt)` in DC `dc`, counted and timed in `stats`.
+///
+/// Never blocks: the snapshot only names versions already installed on
+/// every partition of the DC, and only stripe read locks are taken.
+/// Both the writer path ([`WrenServer::handle`], the coordinator's own
+/// slice) and every [`SliceReader`] run this one function.
+fn read_slice_at(
+    store: &ConcurrentShardedStore<Key, WrenVersion>,
+    stats: &ReadPathStats,
+    dc: u8,
+    keys: &[Key],
+    lt: Timestamp,
+    rt: Timestamp,
+) -> Vec<(Key, Option<WrenVersion>)> {
+    let start = std::time::Instant::now();
+    stats.slices_served.inc();
+    stats.keys_read.add(keys.len() as u64);
+    let bound = SnapshotBound::bist(dc, lt, rt);
+    let mut items = Vec::with_capacity(keys.len());
+    for &k in keys {
+        items.push((k, store.latest_visible(&k, &bound)));
+    }
+    stats
+        .read_slice_micros
+        .record(start.elapsed().as_micros() as u64);
+    items
 }
 
 /// A cheap, cloneable handle answering read slices **straight from
@@ -62,9 +91,10 @@ struct ReadPathStats {
 /// slice at snapshot `(lt, rt)` only names versions every partition has
 /// already installed, so serving it needs the concurrent store (shared
 /// `Arc`), the DC id (fixed) and the slice counters (atomic) — nothing
-/// the writer thread mutates. `wren-rt`'s partition engine hands one
-/// handle to each of its read workers; [`WrenServer::handle`] uses the
-/// same code path for `SliceReq` when no engine is attached.
+/// the writer thread mutates. `wren-rt`'s router keeps one handle per
+/// live partition and serves every `SliceReq` through it on the thread
+/// that delivered the request; [`WrenServer::handle`] serves `SliceReq`
+/// with the same code when a driver (the simulator) feeds it directly.
 #[derive(Debug, Clone)]
 pub struct SliceReader {
     dc: u8,
@@ -73,10 +103,8 @@ pub struct SliceReader {
 }
 
 impl SliceReader {
-    /// Algorithm 3 lines 1–12: the freshest visible version of each key
-    /// at snapshot `(lt, rt)`. Never blocks — neither on the protocol
-    /// (the snapshot is stable) nor on the writer thread (only stripe
-    /// read locks are taken).
+    /// Algorithm 3 lines 1–12 at snapshot `(lt, rt)`; see
+    /// [`WrenServer::handle`]'s `SliceReq` arm for the writer-path twin.
     ///
     /// Also raises the store's published stable times to `(lt, rt)`,
     /// mirroring what a `SliceReq` does on the writer path: a slice
@@ -92,19 +120,8 @@ impl SliceReader {
         lt: Timestamp,
         rt: Timestamp,
     ) -> Vec<(Key, Option<WrenVersion>)> {
-        let start = std::time::Instant::now();
         self.store.publish_stable(lt, rt);
-        self.read_stats.slices_served.inc();
-        self.read_stats.keys_read.add(keys.len() as u64);
-        let bound = SnapshotBound::bist(self.dc, lt, rt);
-        let mut items = Vec::with_capacity(keys.len());
-        for &k in keys {
-            items.push((k, self.store.latest_visible(&k, &bound)));
-        }
-        self.read_stats
-            .read_slice_micros
-            .record(start.elapsed().as_micros() as u64);
-        items
+        read_slice_at(&self.store, &self.read_stats, self.dc, keys, lt, rt)
     }
 
     /// Serves one `SliceReq`, producing the `SliceResp` to send back to
@@ -385,7 +402,8 @@ impl WrenServer {
     }
 
     /// Counters for reporting. Slice-path counters are folded in from the
-    /// shared atomics, so reads served by engine workers are included.
+    /// shared atomics, so reads served through [`SliceReader`] handles on
+    /// other threads are included.
     pub fn stats(&self) -> ServerStats {
         let mut stats = self.stats;
         stats.slices_served = self.read_stats.slices_served.get();
@@ -725,30 +743,15 @@ impl WrenServer {
         }
     }
 
-    /// Algorithm 3 lines 1–12: the freshest visible version of each key.
-    ///
-    /// Never blocks: the snapshot `(lt, rt)` only names versions already
-    /// installed on every partition of the DC. Takes `&self` — this is
-    /// the read-only half of the handle/read split, the same code an
-    /// engine's [`SliceReader`] workers run off-thread.
+    /// Algorithm 3 lines 1–12 on the writer path: the code every
+    /// [`SliceReader`] runs, over this server's store and counters.
     fn read_slice(
         &self,
         keys: &[Key],
         lt: Timestamp,
         rt: Timestamp,
     ) -> Vec<(Key, Option<WrenVersion>)> {
-        let start = std::time::Instant::now();
-        self.read_stats.slices_served.inc();
-        self.read_stats.keys_read.add(keys.len() as u64);
-        let bound = SnapshotBound::bist(self.id.dc.0, lt, rt);
-        let mut items = Vec::with_capacity(keys.len());
-        for &k in keys {
-            items.push((k, self.store.latest_visible(&k, &bound)));
-        }
-        self.read_stats
-            .read_slice_micros
-            .record(start.elapsed().as_micros() as u64);
-        items
+        read_slice_at(&self.store, &self.read_stats, self.id.dc.0, keys, lt, rt)
     }
 
     /// Algorithm 2 lines 17–28 (first half): fan the prepare phase out.
@@ -1545,8 +1548,8 @@ impl WrenServer {
 
     /// Serializes the partition's complete durable state: clocks, vector,
     /// stable cut, 2PC lists, decision map, and the store dumped stripe
-    /// by stripe (each stripe under its read lock, so concurrent read
-    /// workers stall on at most one stripe at a time).
+    /// by stripe (each stripe under its read lock, so concurrent slice
+    /// readers stall on at most one stripe at a time).
     fn encode_checkpoint(&self) -> Vec<u8> {
         let mut e = Enc::with_capacity(1024 + self.store.stats().versions * 48);
         e.put_vv(&self.vv);

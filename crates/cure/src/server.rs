@@ -645,7 +645,7 @@ impl CureServer {
     /// timestamp is covered by the snapshot entry of its origin DC.
     ///
     /// Takes `&self`, mirroring `wren-core`'s handle/read split. Unlike
-    /// Wren, Cure cannot hand this to off-thread workers wholesale: the
+    /// Wren, Cure cannot serve this on other threads wholesale: the
     /// *admission* check ([`snapshot_installed`](Self::snapshot_installed))
     /// consults the writer-owned version vector, and a non-installed
     /// snapshot must queue — blocking is the protocol's defining cost.

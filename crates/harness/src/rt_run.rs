@@ -52,8 +52,6 @@ pub struct RtSpec {
     pub dcs: u8,
     /// Partitions per DC.
     pub partitions: u16,
-    /// Read workers per partition engine.
-    pub read_workers: usize,
     /// Transport under test.
     pub transport: RtTransport,
     /// Closed-loop sessions per DC.
@@ -79,7 +77,6 @@ impl Default for RtSpec {
         RtSpec {
             dcs: 1,
             partitions: 4,
-            read_workers: 2,
             transport: RtTransport::Channel,
             sessions_per_dc: 4,
             txs_per_session: 200,
@@ -117,8 +114,7 @@ pub struct RtRunResult {
 pub fn run_rt(spec: &RtSpec) -> RtRunResult {
     let mut builder = ClusterBuilder::new()
         .dcs(spec.dcs)
-        .partitions(spec.partitions)
-        .read_workers(spec.read_workers);
+        .partitions(spec.partitions);
     match spec.transport {
         RtTransport::Channel => {}
         RtTransport::Tcp => builder = builder.tcp(),

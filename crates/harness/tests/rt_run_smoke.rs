@@ -7,7 +7,6 @@ fn small(transport: RtTransport) -> RtSpec {
     RtSpec {
         dcs: 1,
         partitions: 2,
-        read_workers: 2,
         transport,
         sessions_per_dc: 2,
         txs_per_session: 40,

@@ -58,7 +58,7 @@
 //!   `FrameDecoder`s into a [`ReactorHandler`], and drains each
 //!   connection's bounded, **never-blocking** send queue
 //!   ([`ConnHandle`]) on writable readiness with partial-write state.
-//!   A partition's writer thread or read worker enqueues a framed
+//!   A partition's writer thread or a reactor thread enqueues a framed
 //!   response and moves on; a client that stops reading fills its own
 //!   queue and gets disconnected — it can never stall the partition.
 //!   Listeners registered with [`Reactor::add_listener`] return a

@@ -7,7 +7,7 @@
 //!    handles over shared atomics. Recording is a handful of `Relaxed`
 //!    atomic RMWs with no locks, no allocation and no branches on the
 //!    hot path, so instrumentation can sit inside the commit path, the
-//!    read workers and the fabric reader threads at near-zero cost when
+//!    read slice path and the fabric's event loops at near-zero cost when
 //!    nobody is looking. Handles are `Clone` and can be hoisted out of
 //!    loops; every clone writes to the same cells.
 //! 2. **Snapshot** — a [`Registry`] names the live metrics and

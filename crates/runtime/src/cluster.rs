@@ -1,4 +1,4 @@
-use crate::engine::{Durability, PartitionEngine, ReadJob};
+use crate::engine::{Durability, PartitionEngine};
 use crate::metrics::SessionMetrics;
 use crate::reactor_fabric::{bind_listeners, ReactorFabric};
 use crate::Session;
@@ -12,11 +12,13 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wren_clock::SystemClock;
-use wren_core::{FsyncPolicy, ServerStats, ServerTrace, TxEvent, WrenConfig, WrenServer};
+use wren_clock::{SystemClock, Timestamp};
+use wren_core::{
+    FsyncPolicy, ServerStats, ServerTrace, SliceReader, TxEvent, WrenConfig, WrenServer,
+};
 use wren_net::{Backend, FaultPlan};
 use wren_obs::{MetricsSnapshot, Registry};
-use wren_protocol::{ClientId, Dest, Outgoing, ServerId, WrenMsg};
+use wren_protocol::{ClientId, Dest, Key, Outgoing, ServerId, TxId, WrenMsg};
 
 /// What travels on a writer thread's inbox.
 pub(crate) enum RtMsg {
@@ -60,20 +62,24 @@ pub(crate) enum RtMsg {
     },
 }
 
-/// Shared routing state: writer inboxes, per-partition read channels and
+/// Shared routing state: writer inboxes, every partition's read path and
 /// dynamically-registered client inboxes.
+///
+/// The router owns the read path: a `SliceReq` is answered by
+/// [`serve_slice`](Self::serve_slice) on the thread that delivers it —
+/// a reactor loop over TCP, the coordinator's writer thread over
+/// channels — and never enters the destination's inbox.
 ///
 /// The client map sits behind an [`RwLock`], not a mutex: every message
 /// delivered to a client takes the lock, and lookups (one per response)
 /// vastly outnumber register/unregister (one pair per session), so
-/// concurrently-responding servers and read workers must not serialize
-/// on it.
+/// concurrently-responding threads must not serialize on it.
 pub(crate) struct Router {
     n_partitions: u16,
     server_txs: Vec<Sender<RtMsg>>,
-    /// One MPMC read channel per partition when the cluster runs read
-    /// workers; empty when reads stay on the writer threads.
-    read_txs: Vec<Sender<ReadJob>>,
+    /// Every partition's slice reader, DC-major: `None` while the
+    /// partition is down, so a dead process's store never answers.
+    readers: Vec<RwLock<Option<SliceReader>>>,
     clients: RwLock<HashMap<ClientId, Sender<WrenMsg>>>,
     /// In TCP mode, the socket fabric every inter-node hop crosses.
     tcp: Option<ReactorFabric>,
@@ -109,77 +115,99 @@ impl Router {
         self.deliver_local(src, to, msg);
     }
 
-    /// Delivers a message to a **local** engine: `SliceReq` is diverted
-    /// to the partition's read workers (when the engine runs any),
-    /// everything else lands in the writer's inbox.
+    /// Delivers a message to a **local** engine: a `SliceReq` is served
+    /// right here ([`serve_slice`](Self::serve_slice)), everything else
+    /// lands in the writer's inbox.
     pub(crate) fn deliver_local(&self, src: Dest, to: ServerId, msg: WrenMsg) {
-        let idx = self.index_of(to);
-        if !self.read_txs.is_empty() {
-            if let WrenMsg::SliceReq { tx, lt, rt, keys } = msg {
-                let Dest::Server(coordinator) = src else {
-                    // Only a coordinator legitimately sends SliceReq —
-                    // drop it (no assert, as in `deliver_local_batch`,
-                    // where remote input reaches this same rule).
-                    return;
-                };
-                // A send only fails during shutdown; drop the job then.
-                let _ = self.read_txs[idx].send(ReadJob::Slice {
-                    coordinator,
-                    tx,
-                    lt,
-                    rt,
-                    keys,
-                });
-                return;
-            }
+        if let WrenMsg::SliceReq { tx, lt, rt, keys } = &msg {
+            self.serve_slice(src, to, *tx, *lt, *rt, keys);
+            return;
         }
         // A send only fails during shutdown; drop the message then.
-        let _ = self.server_txs[idx].send(RtMsg::Proto { src, msg });
+        let _ = self.server_txs[self.index_of(to)].send(RtMsg::Proto { src, msg });
     }
 
     /// Delivers one connection's decoded burst to a **local** engine in
     /// a single inbox wake-up. Per message the routing matches
-    /// [`deliver_local`](Self::deliver_local) exactly — `SliceReq`s
-    /// peel off to the read workers in wire order, non-coordinator
-    /// `SliceReq`s drop — but everything bound for the writer thread
-    /// coalesces into one [`RtMsg::Batch`] (or a plain
-    /// [`RtMsg::Proto`] when only one message remains), so a pipelined
-    /// burst costs the engine one channel receive and one group-commit
-    /// point instead of one each per frame.
-    pub(crate) fn deliver_local_batch(&self, src: Dest, to: ServerId, msgs: Vec<WrenMsg>) {
-        let idx = self.index_of(to);
-        let mut engine_msgs = msgs;
-        if !self.read_txs.is_empty() {
-            engine_msgs.retain_mut(|msg| {
-                if let WrenMsg::SliceReq { tx, lt, rt, keys } = msg {
-                    if let Dest::Server(coordinator) = src {
-                        // A send only fails during shutdown; drop then.
-                        let _ = self.read_txs[idx].send(ReadJob::Slice {
-                            coordinator,
-                            tx: *tx,
-                            lt: *lt,
-                            rt: *rt,
-                            keys: std::mem::take(keys),
-                        });
-                    }
-                    // Diverted (or, from a non-coordinator, dropped —
-                    // same reasoning as `deliver_local`).
-                    return false;
-                }
-                true
-            });
-        }
+    /// [`deliver_local`](Self::deliver_local) exactly — `SliceReq`s are
+    /// served in wire order as the burst is walked — but everything
+    /// bound for the writer thread coalesces into one [`RtMsg::Batch`]
+    /// (or a plain [`RtMsg::Proto`] when only one message remains), so
+    /// a pipelined burst costs the engine one channel receive and one
+    /// group-commit point instead of one each per frame.
+    pub(crate) fn deliver_local_batch(&self, src: Dest, to: ServerId, mut msgs: Vec<WrenMsg>) {
+        msgs.retain(|msg| {
+            let WrenMsg::SliceReq { tx, lt, rt, keys } = msg else {
+                return true;
+            };
+            self.serve_slice(src, to, *tx, *lt, *rt, keys);
+            false
+        });
+        let inbox = &self.server_txs[self.index_of(to)];
         // A send only fails during shutdown; drop the burst then.
-        match engine_msgs.len() {
+        match msgs.len() {
             0 => {}
             1 => {
-                let msg = engine_msgs.pop().expect("len checked");
-                let _ = self.server_txs[idx].send(RtMsg::Proto { src, msg });
+                let msg = msgs.pop().expect("len checked");
+                let _ = inbox.send(RtMsg::Proto { src, msg });
             }
             _ => {
-                let _ = self.server_txs[idx].send(RtMsg::Batch { src, msgs: engine_msgs });
+                let _ = inbox.send(RtMsg::Batch { src, msgs });
             }
         }
+    }
+
+    /// Answers one `SliceReq` for partition `at` on the calling thread
+    /// (Algorithm 3 through the partition's [`SliceReader`]), then sends
+    /// the `SliceResp` to the coordinator. The slot's read lock is held
+    /// for the lookup only, never across the send. A request from a
+    /// non-coordinator (only a coordinator legitimately sends one; over
+    /// TCP this is remote input, so no assert) or for a partition that
+    /// is down is dropped.
+    ///
+    /// Why any thread may serve it: the request names a snapshot
+    /// `(lt, rt)` that is *stable* — every version inside it is already
+    /// installed at every partition of the DC (the paper's central
+    /// invariant, §IV-B). A concurrent writer can only be installing
+    /// versions newer than any stable snapshot, so this read either does
+    /// not see them (they are above its visibility ceiling) or sees them
+    /// fully spliced (the store's stripe locks rule out torn state).
+    /// Stable-time watermarks flow through the store's atomics both
+    /// ways: the read observes the writer's published `lst`/`rst`, and
+    /// the request's carried stable times are published exactly as the
+    /// writer path would.
+    ///
+    /// Nor can the writer's **GC tick sweep the versions** a slice
+    /// needs: the GC watermark is the DC-wide minimum over every
+    /// partition's *oldest active transaction* snapshot (`GcGossip`), and
+    /// a `SliceReq` only exists while its coordinator still holds the
+    /// transaction's context — whose `(lt, rt)` is exactly this read's
+    /// bound. The coordinator therefore pins the watermark at or below
+    /// every in-flight read, and a stale gossiped contribution only errs
+    /// *lower* (safer). The pin lives at the coordinator, which is why
+    /// the serving thread needs no GC bookkeeping of its own.
+    fn serve_slice(
+        &self,
+        src: Dest,
+        at: ServerId,
+        tx: TxId,
+        lt: Timestamp,
+        rt: Timestamp,
+        keys: &[Key],
+    ) {
+        let Dest::Server(coordinator) = src else {
+            return;
+        };
+        let resp = match &*self.readers[self.index_of(at)].read() {
+            Some(reader) => reader.serve(tx, lt, rt, keys),
+            None => return,
+        };
+        self.send_to_server(Dest::Server(at), coordinator, resp);
+    }
+
+    /// Opens (`Some`) or closes (`None`) partition `id`'s read path.
+    fn set_reader(&self, id: ServerId, reader: Option<SliceReader>) {
+        *self.readers[self.index_of(id)].write() = reader;
     }
 
     fn send_to_client(&self, to: ClientId, msg: WrenMsg) {
@@ -231,7 +259,6 @@ pub struct ClusterBuilder {
     gc_tick: Duration,
     session_timeout: Duration,
     gossip_fanout: u16,
-    read_workers: usize,
     tcp: bool,
     tcp_client_outbox_bytes: usize,
     reactor_threads: usize,
@@ -255,7 +282,6 @@ impl Default for ClusterBuilder {
             gc_tick: Duration::from_millis(50),
             session_timeout: Duration::from_secs(5),
             gossip_fanout: 0,
-            read_workers: 2,
             tcp: false,
             tcp_client_outbox_bytes: wren_net::DEFAULT_OUTBOX_BYTES,
             reactor_threads: 2,
@@ -325,27 +351,19 @@ impl ClusterBuilder {
         self
     }
 
-    /// Read workers per partition (default 2): threads answering
-    /// `SliceReq` concurrently, straight from the partition's
-    /// stripe-locked store, while the writer thread runs the mutating
-    /// protocol. 0 disables the pool and serves reads on the writer
-    /// thread, the pre-engine behaviour.
-    pub fn read_workers(mut self, n: usize) -> Self {
-        self.read_workers = n;
-        self
-    }
-
     /// Runs the cluster over real TCP sockets on 127.0.0.1 instead of
     /// in-process channels: one listener per partition, length-prefixed
     /// framed sessions, and every protocol hop — client↔coordinator,
     /// slices, 2PC, replication, gossip — encoded onto the wire and
-    /// decoded back. The engines themselves (writer thread + read
-    /// workers) are identical in every mode.
+    /// decoded back. The engines themselves (one writer thread per
+    /// partition) are identical in every mode.
     ///
     /// Sockets are served by the **reactor fabric**: a fixed pool of
     /// [`reactor_threads`](Self::reactor_threads) event-loop threads
     /// owns every listener, accepted connection and dialed peer link,
     /// so fabric threads are O(reactor_threads), not O(connections).
+    /// The event loop that decodes a read slice also answers it, straight
+    /// from the partition's store, and frames the reply.
     /// [`Self::backend`] picks the syscall interface those loops run on
     /// (epoll by default, or io_uring).
     ///
@@ -553,10 +571,10 @@ fn log_metrics_delta(at: Duration, delta: &MetricsSnapshot) {
 }
 
 /// An in-process Wren cluster: one partition **engine** per partition —
-/// a writer thread running the protocol state machine plus a pool of
-/// read workers serving slices straight from the stripe-locked store —
-/// with real (shared) wall-clock time and crossbeam channels as the
-/// FIFO transport.
+/// a writer thread running the protocol state machine — with read
+/// slices answered straight from the stripe-locked store by whichever
+/// thread delivers them, real (shared) wall-clock time and crossbeam
+/// channels as the FIFO transport.
 ///
 /// This is the deployable face of the library: the exact protocol state
 /// machines the simulator benchmarks, driven by threads instead of
@@ -593,9 +611,6 @@ pub struct Cluster {
     /// [`restart_partition`](Self::restart_partition) drains to model
     /// the dead process's lost inbox.
     server_rxs: Vec<Receiver<RtMsg>>,
-    /// Same, for the per-partition read channels (empty slots when the
-    /// cluster runs without read workers).
-    read_rxs: Vec<Option<Receiver<ReadJob>>>,
     wren_cfg: WrenConfig,
     /// The cluster's physical time, shared by every engine (restarted
     /// ones included): microseconds since the build, above a base no
@@ -626,20 +641,6 @@ impl Cluster {
             txs.push(tx);
             rxs.push(rx);
         }
-        // With read workers, every partition also gets an MPMC read
-        // channel the router diverts SliceReqs to; the sender is kept in
-        // the router (for routing) and in the engine (for shutdown).
-        let mut read_rxs = Vec::with_capacity(total);
-        let mut read_txs = Vec::new();
-        if cfg.read_workers > 0 {
-            for _ in 0..total {
-                let (tx, rx) = unbounded::<ReadJob>();
-                read_txs.push(tx);
-                read_rxs.push(Some(rx));
-            }
-        } else {
-            read_rxs.resize_with(total, || None);
-        }
         // TCP mode: bind every server's loopback listener up front so
         // the fabric knows all addresses before any engine (or lazy
         // dial) runs; the fabric registers them with its reactor.
@@ -660,7 +661,7 @@ impl Cluster {
         let router = Arc::new_cyclic(|weak: &std::sync::Weak<Router>| Router {
             n_partitions: cfg.n_partitions,
             server_txs: txs,
-            read_txs,
+            readers: (0..total).map(|_| RwLock::new(None)).collect(),
             clients: RwLock::new(HashMap::new()),
             tcp: cfg.tcp.then(|| {
                 ReactorFabric::start(
@@ -717,7 +718,10 @@ impl Cluster {
         // therefore opens with catch-up, as a restarted one does; on a
         // first boot, or with one DC, that is an empty exchange.
         let rejoin = cfg.durable_dir.is_some();
-        let engines: Vec<_> = spawn_engines(&cfg, &router, &clock, &rxs, &read_rxs, servers, rejoin)
+        for (id, server) in &servers {
+            router.set_reader(*id, Some(server.reader()));
+        }
+        let engines: Vec<_> = spawn_engines(&cfg, &router, &clock, &rxs, servers, rejoin)
             .into_iter()
             .map(Some)
             .collect();
@@ -773,7 +777,6 @@ impl Cluster {
             router,
             engines,
             server_rxs: rxs,
-            read_rxs,
             wren_cfg,
             clock,
             addrs,
@@ -895,9 +898,9 @@ impl Cluster {
     /// statistics. The writer thread exits without draining its inbox,
     /// without dispatching pending responses and **without flushing or
     /// sealing its WAL**: whatever bytes the fsync policy left buffered
-    /// in user space are lost, exactly as a crash would lose them. Read
-    /// workers are stopped too (reads are stateless, so nothing is lost
-    /// there).
+    /// in user space are lost, exactly as a crash would lose them. The
+    /// partition's read path closes first: from then on a slice request
+    /// for it is dropped, as one sent to a dead host would be.
     ///
     /// This is a **process** kill: the machine stays up, so every byte
     /// the WAL had handed to the OS survives in the page cache whether
@@ -963,17 +966,16 @@ impl Cluster {
         self.obs.partitions.lock()[idx]
             .1
             .push(TxEvent::KillPartition { server: id });
-        // Sockets first, so in-flight frames die with the process and
+        // The read path first: no thread answers from a dead process's
+        // store once this returns (a slice already being served
+        // finishes, as one already sent would have).
+        self.router.set_reader(id, None);
+        // Then sockets, so in-flight frames die with the process and
         // nothing new lands in the inbox behind the kill pill.
         if let Some(fabric) = self.router.tcp() {
             fabric.kill_server(id);
         }
         let _ = self.router.server_txs[idx].send(RtMsg::Kill);
-        if !self.router.read_txs.is_empty() {
-            for _ in 0..self.cfg.read_workers {
-                let _ = self.router.read_txs[idx].send(ReadJob::Shutdown);
-            }
-        }
         engine.join()
     }
 
@@ -1006,21 +1008,8 @@ impl Cluster {
         let id = ServerId::new(dc, p);
         let idx = id.dc_major_index(self.cfg.n_partitions);
         assert!(self.engines[idx].is_none(), "partition still running");
-        // Process-down semantics: the dead process's inboxes are gone.
+        // Process-down semantics: the dead process's inbox is gone.
         while self.server_rxs[idx].try_recv().is_some() {}
-        if let Some(rrx) = &self.read_rxs[idx] {
-            while rrx.try_recv().is_some() {}
-        }
-        // Network back first: frames accepted between rebind and engine
-        // launch just queue in the (freshly drained) inbox.
-        if let Some(fabric) = self.router.tcp() {
-            let SocketAddr::V4(v4) = self.addrs[idx] else {
-                unreachable!("listeners bind IPv4 loopback")
-            };
-            let listener =
-                wren_net::poll::bind_reusable(v4).expect("rebind the partition's address");
-            fabric.restart_server(id, listener);
-        }
         // The restarted engine runs on the cluster's clock, which kept
         // going while the partition was down.
         let server = PartitionEngine::recover(
@@ -1029,12 +1018,24 @@ impl Cluster {
             durability_of(&self.cfg, id),
             self.cfg.tx_abort_timeout,
         );
+        // Reads open on the recovered store before the network is back,
+        // so no slice request that reaches the new process is dropped.
+        self.router.set_reader(id, Some(server.reader()));
+        // Network back before the engine: frames accepted between rebind
+        // and engine launch just queue in the (freshly drained) inbox.
+        if let Some(fabric) = self.router.tcp() {
+            let SocketAddr::V4(v4) = self.addrs[idx] else {
+                unreachable!("listeners bind IPv4 loopback")
+            };
+            let listener =
+                wren_net::poll::bind_reusable(v4).expect("rebind the partition's address");
+            fabric.restart_server(id, listener);
+        }
         let engine = spawn_engines(
             &self.cfg,
             &self.router,
             &self.clock,
             &self.server_rxs,
-            &self.read_rxs,
             vec![(id, server)],
             true,
         )
@@ -1051,37 +1052,31 @@ impl Cluster {
     }
 
     /// Asks every engine to stop: a shutdown message to each writer
-    /// thread and a poison job per read worker (queued behind any
-    /// pending slices, which are still served). Threads are joined (and
-    /// their final [`ServerStats`] collected) in [`Cluster::stop`] or on
-    /// drop — until then a writer or event loop that has finished its
-    /// work stays parked, so that the threads end in a fixed order;
-    /// calling this twice is harmless (idempotent).
+    /// thread. Threads are joined (and their final [`ServerStats`]
+    /// collected) in [`Cluster::stop`] or on drop — until then an event
+    /// loop that has finished its work stays parked, so that the threads
+    /// end in a fixed order; calling this twice is harmless
+    /// (idempotent).
     pub fn shutdown(&self) {
         if self.shut_down.swap(true, Ordering::SeqCst) {
             return;
         }
         // TCP first: close listeners and sever every connection (in
         // flight included) so no new work reaches the engines while
-        // they drain their inboxes towards the poison messages below.
+        // they drain their inboxes towards the shutdown messages below.
         if let Some(fabric) = self.router.tcp() {
             fabric.shutdown();
         }
         for tx in &self.router.server_txs {
             let _ = tx.send(RtMsg::Shutdown);
         }
-        for tx in &self.router.read_txs {
-            for _ in 0..self.cfg.read_workers {
-                let _ = tx.send(ReadJob::Shutdown);
-            }
-        }
     }
 
     /// Stops the cluster and returns each server's final statistics in
-    /// DC-major partition order (read-worker-served slices included —
-    /// the counters are shared). Consumes the cluster; every writer and
-    /// read-worker thread is joined before this returns, so no engine
-    /// thread outlives the call.
+    /// DC-major partition order (slices served off the writer thread
+    /// included — the counters are shared). Consumes the cluster; every
+    /// engine and fabric thread is joined before this returns, so none
+    /// outlives the call.
     pub fn stop(mut self) -> Vec<ServerStats> {
         self.shutdown();
         self.join_threads()
@@ -1089,15 +1084,11 @@ impl Cluster {
 
     /// Joins every thread of a cluster that has been
     /// [shut down](Self::shutdown), in the reverse of the order
-    /// [`spawn_engines`] and the fabric started them — every read
-    /// worker, then every writer, then the fabric's event loops — and
-    /// returns the writers' final statistics (a default for a partition
-    /// that is down).
+    /// [`spawn_engines`] and the fabric started them — every writer,
+    /// then the fabric's event loops — and returns the writers' final
+    /// statistics (a default for a partition that is down).
     fn join_threads(&mut self) -> Vec<ServerStats> {
         self.stop_metrics_logger();
-        for engine in self.engines.iter_mut().flatten() {
-            engine.join_workers();
-        }
         let stats = self
             .engines
             .drain(..)
@@ -1119,21 +1110,20 @@ impl Cluster {
     }
 }
 
-/// Spawns the engines of `servers` — every writer, then every read
-/// pool, each kind running before this goes on — and returns them in
-/// the order given. [`PartitionEngine`] says why the order, which
+/// Spawns the writers of `servers`, every one running before this
+/// returns, and returns their engines in the order given.
+/// [`PartitionEngine`] says why the order, which
 /// [`Cluster::join_threads`] mirrors.
 fn spawn_engines(
     cfg: &ClusterBuilder,
     router: &Arc<Router>,
     clock: &SystemClock,
     rxs: &[Receiver<RtMsg>],
-    read_rxs: &[Option<Receiver<ReadJob>>],
     servers: Vec<(ServerId, WrenServer)>,
     rejoin: bool,
 ) -> Vec<PartitionEngine> {
     let writers_up = Arc::new(Barrier::new(servers.len() + 1));
-    let mut engines: Vec<_> = servers
+    let engines: Vec<_> = servers
         .into_iter()
         .map(|(id, server)| {
             PartitionEngine::spawn(
@@ -1149,14 +1139,6 @@ fn spawn_engines(
         })
         .collect();
     writers_up.wait();
-    let workers_up = Arc::new(Barrier::new(engines.len() * cfg.read_workers + 1));
-    for engine in &mut engines {
-        // (`Some` exactly when the cluster has read workers.)
-        if let Some(read_rx) = &read_rxs[engine.id().dc_major_index(cfg.n_partitions)] {
-            engine.spawn_read_pool(read_rx, cfg.read_workers, router, &workers_up);
-        }
-    }
-    workers_up.wait();
     engines
 }
 

@@ -1,124 +1,67 @@
-//! The parallel read engine: one writer thread plus a pool of read
-//! workers per partition.
+//! The partition engine: one writer thread per partition, owning the
+//! [`WrenServer`] state machine and all mutating protocol handling —
+//! start/read fan-out, 2PC, replication, stabilization, GC ticks
+//! ([`server_loop`]).
 //!
-//! Wren's protocol guarantee is that read-only transactions never block
-//! — but through PR 2 the *runtime* still funneled every `SliceReq`
-//! through the partition's single protocol thread, so reads queued
-//! behind commits, replication applies, gossip and GC. This module makes
-//! the guarantee thread-level:
+//! Stabilization is change-driven here: every turn ends by pushing the
+//! partition's BiST contribution if it moved ([`WrenServer::stabilize`]),
+//! so the stable cut follows the version clocks at network speed; the
+//! gossip tick is only the idle heartbeat that repairs a lost push.
 //!
-//! * the **writer thread** owns the [`WrenServer`] state machine and all
-//!   mutating protocol handling — start/read fan-out, 2PC, replication,
-//!   stabilization, GC ticks ([`server_loop`]). Stabilization is
-//!   change-driven here: every turn ends by pushing the partition's BiST
-//!   contribution if it moved ([`WrenServer::stabilize`]), so the stable
-//!   cut follows the version clocks at network speed; the gossip tick is
-//!   only the idle heartbeat that repairs a lost push;
-//! * **read workers** ([`read_worker`]) answer `SliceReq` straight from
-//!   storage through a [`SliceReader`] — an `Arc` of the partition's
-//!   stripe-locked `ConcurrentShardedStore` plus the atomic slice
-//!   counters — never touching the writer's state;
-//! * the [`Router`](crate::cluster::Router) diverts `SliceReq` messages
-//!   onto a per-partition MPMC channel the workers share; every other
-//!   message still lands in the writer's inbox.
-//!
-//! Why this is safe: a slice request names a snapshot `(lt, rt)` that is
-//! *stable* — every version inside it is already installed at every
-//! partition of the DC (the paper's central invariant, §IV-B). A
-//! concurrent writer can only be installing versions newer than any
-//! stable snapshot, so a worker either does not see them (they are above
-//! its visibility ceiling) or sees them fully spliced (the store's
-//! stripe locks rule out torn state). Stable-time watermarks flow
-//! through the store's atomics in both directions: workers observe the
-//! writer's published `lst`/`rst`, and a `SliceReq`'s carried stable
-//! times are published by the worker exactly as the writer path would.
-//!
-//! The writer's **GC tick cannot sweep a queued slice's versions**
-//! either, no matter how far the read channel lags: the GC watermark is
-//! the DC-wide minimum over every partition's *oldest active
-//! transaction* snapshot (`GcGossip`), and a `SliceReq` only exists
-//! while its coordinator still holds the transaction's context — whose
-//! `(lt, rt)` is exactly the queued read's bound. The coordinator
-//! therefore pins the watermark at or below every in-flight read, and a
-//! stale gossiped contribution only errs *lower* (safer). The pin lives
-//! at the coordinator, which is why the workers need no GC bookkeeping
-//! of their own.
-//!
-//! Shutdown is deterministic: the cluster queues one poison job per
-//! worker (behind any pending slices, which are still served), then
-//! [`PartitionEngine::join`] joins the workers before the writer — no
-//! detached reader can outlive the engine (and the store itself is kept
-//! alive by the workers' `Arc`s regardless).
+//! Read slices never reach this thread. Wren's reads never block (paper
+//! §IV-B): a `SliceReq` names a stable snapshot, so answering it needs
+//! only the partition's stripe-locked store and the atomically
+//! published `lst`/`rst` — a [`SliceReader`]. The [`Router`] serves each
+//! one on whichever thread delivered it (see `Router::serve_slice` for
+//! why that is safe), and every other message lands in the writer's
+//! inbox.
 
 use crate::cluster::{Router, RtMsg};
 use crossbeam_channel::{Receiver, RecvTimeoutError};
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wren_clock::{SkewedClock, SystemClock, Timestamp};
+use wren_clock::{SkewedClock, SystemClock};
 use wren_core::{
     asserts_logged_state, FsyncPolicy, ServerStats, SliceReader, WrenConfig, WrenServer,
 };
-use wren_protocol::{Dest, Key, Outgoing, ServerId, TxId, WrenMsg};
+use wren_protocol::{Outgoing, ServerId, WrenMsg};
 
-/// What travels on a partition's read channel: a slice request peeled
-/// out of the protocol stream, or a poison pill stopping one worker.
-pub(crate) enum ReadJob {
-    /// Serve `keys` at snapshot `(lt, rt)` and answer `coordinator`.
-    Slice {
-        /// The coordinator awaiting the `SliceResp`.
-        coordinator: ServerId,
-        /// The transaction the slice belongs to.
-        tx: TxId,
-        /// Local stable snapshot time.
-        lt: Timestamp,
-        /// Remote stable snapshot time.
-        rt: Timestamp,
-        /// Keys this partition owns.
-        keys: Vec<Key>,
-    },
-    /// Stop the worker that receives this.
-    Shutdown,
-}
-
-/// One partition's running engine: the writer thread handle, the read
-/// worker handles, and a reader handle kept so [`join`](Self::join) can
-/// take the slice counters *after* every worker has finished. The
-/// metric registry and trace ring are cloned out before the state
-/// machine moves into the writer thread, so the cluster can snapshot a
-/// live partition (and dump its trace post-mortem) without touching it.
+/// One partition's running engine: the writer thread handle, and a
+/// reader handle kept so [`join`](Self::join) can take the slice
+/// counters *after* the writer has finished — other threads serve this
+/// partition's slices and may still be doing so when the writer
+/// snapshots its stats. The metric registry and trace ring are cloned
+/// out before the state machine moves into the writer thread, so the
+/// cluster can snapshot a live partition (and dump its trace
+/// post-mortem) without touching it.
 ///
 /// # Thread lifecycle: kind by kind, last in first out
 ///
 /// A cluster starts its threads one kind at a time — the fabric's event
-/// loops, then every writer ([`spawn`](Self::spawn)), then every read
-/// pool ([`spawn_read_pool`](Self::spawn_read_pool)), each kind running
-/// (an `up` barrier) before the next is spawned — and ends them in the
-/// reverse order: read workers go first, a writer that has finished
-/// waits until [`join`](Self::join) has seen its workers off, and the
-/// event loops wait for theirs in turn (`wren_net::Reactor::join`).
+/// loops, then every writer ([`spawn`](Self::spawn)), all of them
+/// running (an `up` barrier) before the build returns — and ends them in
+/// the reverse order: a writer exits as soon as its loop ends (in any
+/// order among writers: an arena passed from one writer to another is
+/// the point), and the event loops outlive them all, waiting for
+/// `wren_net::Reactor::join`.
 ///
 /// Nothing in the protocol needs that order; memory does. An allocator
 /// with per-thread arenas (glibc) hands a new thread the arena of the
 /// thread that exited last. With starts and exits in mirrored order, a
 /// cluster restarted in the same process — or a restarted partition —
-/// gives every writer an arena a writer has already grown, and every
-/// read worker a small one. When exits race instead, a writer's freed
-/// tables and log buffers (1–2 MiB, below what the allocator returns to
-/// the OS) end up under a read worker that never needs them while the
-/// next writer grows a fresh arena, and resident memory creeps with
-/// every restart by an amount that depends on scheduling: 15.6 → 25.7
-/// MiB over thirty lifetimes of a 2-partition durable cluster on a
-/// quiet machine, less on a busy one; 15.4 → 18.1 MiB, flat from the
-/// third lifetime on, with the order kept (`docs/storage_layout.md`;
-/// `tests/restart_memory.rs` holds it).
+/// gives every writer an arena a writer has already grown. When exits
+/// race instead, a writer's freed tables and log buffers (1–2 MiB,
+/// below what the allocator returns to the OS) end up under a thread
+/// that never needs them while the next writer grows a fresh arena, and
+/// resident memory creeps with every restart by an amount that depends
+/// on scheduling: 15.6 → 25.7 MiB over thirty lifetimes of a
+/// 2-partition durable cluster on a quiet machine, less on a busy one;
+/// 15.4 → 18.1 MiB, flat from the third lifetime on, with the order kept
+/// (`docs/storage_layout.md`; `tests/restart_memory.rs` holds it).
 pub(crate) struct PartitionEngine {
-    id: ServerId,
     writer: JoinHandle<Remains>,
-    /// The writer thread ends once this is let go of.
-    writer_may_exit: mpsc::Sender<()>,
-    workers: Vec<JoinHandle<()>>,
     reader: SliceReader,
     registry: wren_obs::Registry,
     trace: wren_core::ServerTrace,
@@ -171,8 +114,6 @@ impl PartitionEngine {
     /// and on the cold start of a durable cluster (whose previous life,
     /// however it ended, may have left replication in flight), `false`
     /// for a cluster without a log, which has no previous life.
-    /// Without a [read pool](Self::spawn_read_pool) the writer serves
-    /// reads inline.
     #[allow(clippy::too_many_arguments)] // internal: one call site per mode
     pub(crate) fn spawn(
         id: ServerId,
@@ -190,57 +131,20 @@ impl PartitionEngine {
         let trace = server.trace();
         let reader = server.reader();
         let up = Arc::clone(up);
-        let (writer_may_exit, exit) = mpsc::channel::<()>();
         let writer = std::thread::spawn(move || {
             up.wait();
             // The state machine as the loop left it — sealed after a
             // graceful stop, mid-flight after a kill — is summed up and
             // dropped here, on the thread that allocated it.
-            let remains = {
-                let server = server_loop(id, server, clock, rx, router, ticks, rejoin);
-                (server.stats(), server.log_synced_prefix())
-            };
-            // Nothing is ever sent: this returns when the sender goes.
-            let _ = exit.recv();
-            remains
+            let server = server_loop(id, server, clock, rx, router, ticks, rejoin);
+            (server.stats(), server.log_synced_prefix())
         });
         PartitionEngine {
-            id,
             writer,
-            writer_may_exit,
-            workers: Vec::new(),
             reader,
             registry,
             trace,
         }
-    }
-
-    /// Spawns `n_workers` read workers on `read_rx`, the receiving side
-    /// of the channel the router diverts this partition's `SliceReq`s
-    /// to; each meets `up` before it serves.
-    pub(crate) fn spawn_read_pool(
-        &mut self,
-        read_rx: &Receiver<ReadJob>,
-        n_workers: usize,
-        router: &Arc<Router>,
-        up: &Arc<Barrier>,
-    ) {
-        let id = self.id;
-        self.workers.extend((0..n_workers).map(|_| {
-            let reader = self.reader.clone();
-            let rx = read_rx.clone();
-            let router = Arc::clone(router);
-            let up = Arc::clone(up);
-            std::thread::spawn(move || {
-                up.wait();
-                read_worker(id, reader, rx, router)
-            })
-        }));
-    }
-
-    /// The partition this engine serves.
-    pub(crate) fn id(&self) -> ServerId {
-        self.id
     }
 
     /// The partition's metric registry (live — snapshot any time).
@@ -253,54 +157,15 @@ impl PartitionEngine {
         self.trace.clone()
     }
 
-    /// Joins the read workers alone: what a cluster does for *every*
-    /// engine before it lets the first writer go.
-    pub(crate) fn join_workers(&mut self) {
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-
-    /// Joins the engine's threads deterministically — workers first
-    /// (they drain any queued slices, then hit the poison jobs
-    /// [`Cluster::shutdown`](crate::Cluster::shutdown) queued, one per
-    /// worker), then the writer — and returns the writer's final
-    /// statistics with the slice counters re-read *after* the worker
-    /// joins: the writer may snapshot its stats while a worker is still
-    /// mid-slice, so only a post-join load of the shared atomics counts
-    /// every served slice.
-    pub(crate) fn join(mut self) -> Remains {
-        self.join_workers();
-        drop(self.writer_may_exit);
+    /// Joins the writer thread (which ends on the `Shutdown` or `Kill`
+    /// the cluster sent it) and returns its final statistics, with the
+    /// slice counters re-read after the join: slices are served off the
+    /// writer thread and may still land after the writer summed up.
+    pub(crate) fn join(self) -> Remains {
         let (mut stats, synced_wal) = self.writer.join().unwrap_or_default();
         stats.slices_served = self.reader.slices_served();
         stats.keys_read = self.reader.keys_read();
         (stats, synced_wal)
-    }
-}
-
-/// A read worker: serves queued slice requests straight from storage
-/// until it receives a poison pill (or every sender disappears).
-///
-/// The loop is intentionally tiny — receive, read at the stable
-/// snapshot, reply — because everything protocol-shaped already
-/// happened: the coordinator chose the snapshot, and stability
-/// guarantees the answer is fully installed here.
-fn read_worker(id: ServerId, reader: SliceReader, rx: Receiver<ReadJob>, router: Arc<Router>) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            ReadJob::Slice {
-                coordinator,
-                tx,
-                lt,
-                rt,
-                keys,
-            } => {
-                let resp = reader.serve(tx, lt, rt, &keys);
-                router.send_to_server(Dest::Server(id), coordinator, resp);
-            }
-            ReadJob::Shutdown => return,
-        }
     }
 }
 
@@ -315,8 +180,8 @@ const MAX_DRAIN: usize = 64;
 /// one go rather than one message per loop turn: replication batches
 /// that queued up while the thread slept are applied back to back —
 /// each through the store's per-stripe batched splice — before any
-/// clock reads or tick checks are paid again. With read workers
-/// attached, `SliceReq`s never reach this loop at all.
+/// clock reads or tick checks are paid again. `SliceReq`s never reach
+/// this loop: the router answers them where they arrive.
 ///
 /// **Stabilization** does not wait for the gossip tick: every turn — a
 /// burst, a tick, the rejoin — ends in [`commit_and_dispatch`], which

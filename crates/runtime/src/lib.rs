@@ -2,18 +2,18 @@
 //!
 //! While `wren-harness` drives the protocol state machines on a
 //! deterministic simulator (for the paper's figures), this crate runs the
-//! **same state machines on real OS threads** with a **parallel read
-//! engine** per partition: a writer thread owns the mutating protocol
-//! (commits, replication, gossip, GC) while a pool of read workers
-//! answers read slices concurrently, straight from the partition's
-//! stripe-locked store — Wren's nonblocking reads made thread-level
-//! nonblocking. Crossbeam channels are the lossless FIFO transport and
-//! ticks follow the wall clock. It demonstrates that the library is a
-//! usable data store, and it is what the runnable examples build on.
+//! **same state machines on real OS threads**: one writer thread per
+//! partition owns the mutating protocol (commits, replication, gossip,
+//! GC), while a read slice is answered by whichever thread delivers it —
+//! a socket event loop, or the coordinator's writer over channels —
+//! straight from the partition's stripe-locked store. Wren's reads never
+//! block, so they need no thread of their own. Crossbeam channels are
+//! the lossless FIFO transport and ticks follow the wall clock. It
+//! demonstrates that the library is a usable data store, and it is what
+//! the runnable examples build on.
 //!
 //! * [`ClusterBuilder`] / [`Cluster`] — spawn an `m` DC × `n` partition
-//!   cluster in-process ([`ClusterBuilder::read_workers`] sizes each
-//!   partition's read pool);
+//!   cluster in-process;
 //! * [`Session`] — the paper's client API (`START` / `READ` / `WRITE` /
 //!   `COMMIT`) as blocking calls, with CANToR's client-side cache giving
 //!   read-your-writes over the lagging stable snapshot;

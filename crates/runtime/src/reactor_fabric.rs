@@ -6,9 +6,8 @@
 //! protocol message — client↔coordinator, coordinator↔cohort,
 //! replication, gossip, GC — is **encoded, framed, written to a socket,
 //! read back, decoded and dispatched**, exactly as it would be between
-//! machines. The engines are untouched: the writer thread and the read
-//! workers keep consuming from the same channels, which this fabric
-//! feeds from the wire.
+//! machines. The engines are untouched: each writer thread keeps
+//! consuming from the same inbox, which this fabric feeds from the wire.
 //!
 //! * **One listener per partition server**, registered with the shared
 //!   [`Reactor`]; accepts happen on readable readiness.
@@ -20,7 +19,8 @@
 //!   destination engine's inbox as **one** coalesced wake-up
 //!   (`RtMsg::Batch`) when the burst ends, so a pipelined run of
 //!   requests costs the engine one channel receive and one group-commit
-//!   point (read slices divert to the read workers in wire order).
+//!   point (read slices are answered on the reactor thread, in wire
+//!   order, and never reach the inbox).
 //! * **Outbound links are dialed lazily**, one per (local engine,
 //!   remote server) pair. Every write goes onto the connection's
 //!   bounded, never-blocking queue ([`ConnHandle`]), which the reactor
@@ -141,7 +141,7 @@ impl PeerLink {
 /// One outbound link's slot. The per-slot mutex serializes dial +
 /// enqueue for that (engine, peer) pair only — it preserves the pair's
 /// FIFO order (one connection at a time) without making unrelated pairs
-/// (or the read workers' concurrent `SliceResp`s) queue on a global
+/// (or `SliceResp`s sent from the reactor threads) queue on a global
 /// lock, and without ever holding the fabric-wide map lock across a
 /// blocking `connect`.
 type PeerSlot = Arc<Mutex<PeerLink>>;

@@ -1,6 +1,6 @@
 //! Adversarial transport clients: a peer that dribbles bytes one at a
 //! time and a peer that stops reading its responses. Neither may wedge
-//! the acceptor path, the partition writer thread, or the read workers;
+//! the acceptor path, the partition writer thread, or the event loops;
 //! the slow reader is disconnected by its bounded outbox, and shutdown
 //! still joins every thread deterministically afterwards.
 //!

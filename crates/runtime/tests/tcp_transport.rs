@@ -137,28 +137,6 @@ fn migrate_over_tcp_redials_and_preserves_session() {
     cluster.stop();
 }
 
-/// The pre-engine configuration (reads inline on the writer thread)
-/// works over TCP too.
-#[test]
-fn zero_read_workers_over_tcp() {
-    let cluster = ClusterBuilder::new()
-        .dcs(1)
-        .partitions(2)
-        .read_workers(0)
-        .tcp()
-        .build();
-    let mut s = cluster.session(0);
-    s.begin().unwrap();
-    s.write(Key(1), val("hello"));
-    s.commit().unwrap();
-    let mut probe = cluster.session(0);
-    await_visible(&mut probe, Key(1), &val("hello"));
-    drop(s);
-    drop(probe);
-    let stats = cluster.stop();
-    assert!(stats.iter().map(|s| s.slices_served).sum::<u64>() > 0);
-}
-
 /// Regression (this PR's fix): shutdown must close listener sockets and
 /// in-flight connections idempotently — `shutdown()` twice, then
 /// `stop()`, then the drop path, with sessions still connected, and

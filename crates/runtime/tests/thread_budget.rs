@@ -1,13 +1,13 @@
-//! The reactor fabric's headline invariant, asserted from the OS:
-//! fabric threads are **O(reactor_threads + partitions)**, not
-//! O(connections). A 32-session loopback cluster must run with exactly
-//! the thread count of a 2-session one, and the per-connection fds must
-//! be reaped once sessions drop.
+//! The runtime's thread budget, asserted from the OS: a TCP cluster is
+//! exactly **one writer per partition plus the reactor pool** — read
+//! slices are answered on the event loop that decodes them, so they own
+//! no thread — and it stays that size whatever the connection count. A
+//! 32-session loopback cluster must run with exactly the thread count
+//! of a 2-session one, the per-connection fds must be reaped once
+//! sessions drop, and `stop` must hand back every thread the build took.
 //!
 //! (A fabric with a reader and a writer thread per connection would
-//! fail this; the repo shipped one until ISSUE 20 deleted it — see the
-//! ROADMAP's "Async/epoll transport" and "Collapse the transport
-//! matrix" items.)
+//! fail this, and so would a pool of read threads per partition.)
 //!
 //! This test lives alone in its file on purpose: `cargo test` runs the
 //! tests of one binary concurrently, and any neighbor would perturb the
@@ -61,7 +61,20 @@ fn await_condition(what: &str, probe: impl Fn() -> bool) {
 
 #[test]
 fn reactor_thread_budget_is_flat_and_fds_are_reaped() {
-    let cluster = ClusterBuilder::new().dcs(1).partitions(2).tcp().build();
+    const PARTITIONS: u16 = 2;
+    const REACTOR_THREADS: usize = 2;
+    let before_build = thread_count();
+    let cluster = ClusterBuilder::new()
+        .dcs(1)
+        .partitions(PARTITIONS)
+        .reactor_threads(REACTOR_THREADS)
+        .tcp()
+        .build();
+    assert_eq!(
+        thread_count(),
+        before_build + PARTITIONS as usize + REACTOR_THREADS,
+        "a cluster is one writer per partition plus the reactor pool"
+    );
 
     // Baseline: a 2-session cluster with all inter-partition links up
     // (ticks dial them within milliseconds; the transactions force the
@@ -108,4 +121,6 @@ fn reactor_thread_budget_is_flat_and_fds_are_reaped() {
 
     drop(warm);
     cluster.stop();
+    // A joined thread leaves the count a moment after its join returns.
+    await_condition("thread count after stop", || thread_count() == before_build);
 }

@@ -12,11 +12,11 @@
 //!   stripe share the read lock, and a writer only excludes readers of
 //!   the *one* stripe it touches;
 //! * the whole API takes `&self`: the single protocol writer and any
-//!   number of read workers operate through the same shared handle
+//!   number of reading threads operate through the same shared handle
 //!   (typically an `Arc<ConcurrentShardedStore>`);
 //! * the partition's **stable-snapshot timestamps** (Wren's `lst`/`rst`)
 //!   are published through atomics ([`publish_stable`], [`stable`]), so a
-//!   read worker picks up its visibility bound without ever touching the
+//!   reader picks up its visibility bound without ever touching the
 //!   writer's state. Publication is monotone (`fetch_max`) and uses
 //!   release/acquire ordering: a reader that observes a raised timestamp
 //!   also observes every version applied before it was published.
@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use wren_clock::Timestamp;
 
 /// Default stripe count, matching [`ShardedStore`](crate::ShardedStore):
-/// enough lock granularity to spread a partition's read workers without
+/// enough lock granularity to spread a partition's concurrent readers without
 /// bloating small stores.
 const DEFAULT_STRIPES: usize = 16;
 
@@ -63,7 +63,7 @@ const DEFAULT_STRIPES: usize = 16;
 /// shaped:
 ///
 /// * every method takes `&self`, so the store can be shared via `Arc`
-///   between one protocol writer and a pool of read workers;
+///   between one protocol writer and any number of reading threads;
 /// * lookups return owned (cloned) versions instead of references;
 /// * chain-level access goes through [`with_chain`] /
 ///   [`with_stripe`](ConcurrentShardedStore::with_stripe) closures, which
@@ -133,7 +133,7 @@ impl<K, V> ConcurrentShardedStore<K, V> {
     /// Monotone (`fetch_max`) and release-ordered: every version the
     /// caller applied before publishing is visible to any reader that
     /// observes the raised timestamps through [`stable`]. Safe to call
-    /// from both the writer and read workers (Wren's `SliceReq` carries
+    /// from both the writer and reading threads (Wren's `SliceReq` carries
     /// stable times that raise the target's watermarks).
     ///
     /// [`stable`]: ConcurrentShardedStore::stable
@@ -257,7 +257,7 @@ impl<K: Eq + Hash + Clone, V: Versioned + Clone> ConcurrentShardedStore<K, V> {
     /// Garbage-collects a single stripe. Only multi-version chains can
     /// shrink ([`MvStore::collect`]), so a stripe without one is left
     /// alone — checked under its *read* lock: an idle stripe never
-    /// stalls a read worker. Returns the number of versions removed.
+    /// stalls a reader. Returns the number of versions removed.
     ///
     /// # Panics
     ///

@@ -30,9 +30,9 @@
 //! * [`ConcurrentShardedStore`] — the same stripe layout with each
 //!   stripe behind its own reader-writer lock and the stable-snapshot
 //!   timestamps published through atomics. This is what the protocol
-//!   servers run on: one writer thread applies the protocol while a pool
-//!   of read workers serves slices concurrently (see its type docs for
-//!   the safety argument);
+//!   servers run on: one writer thread applies the protocol while other
+//!   threads serve slices concurrently (see its type docs for the safety
+//!   argument);
 //! * [`wal`] and [`checkpoint`] — the byte-level durability substrate: an
 //!   append-only CRC-framed record log with group-commit fsync policies
 //!   and a total (never-panicking) valid-prefix reader, plus atomically

@@ -8,8 +8,8 @@
 //!    grow with connections), and every protocol hop —
 //!    client↔coordinator, read slices, 2PC, replication, gossip —
 //!    encoded, length-prefix framed, written to a socket, read back and
-//!    decoded. The partition engines (writer thread + read-worker pool)
-//!    are byte-for-byte the ones the channel transport drives.
+//!    decoded. The partition engines (one writer thread each) are
+//!    byte-for-byte the ones the channel transport drives.
 //! 2. **Join by address only** (`Session::connect_tcp`): a session is
 //!    built from nothing but the listener addresses printed in step 1 —
 //!    no handle to the `Cluster` object. Run the same calls from a
@@ -17,8 +17,9 @@
 //!    that is the point: the cluster boundary is now the socket, not
 //!    the address space.
 //! 3. **Transact over the wire**: read-your-writes through the client
-//!    cache, multi-partition snapshot reads fanned out to the read
-//!    workers, cross-session visibility once BiST stabilizes a write.
+//!    cache, multi-partition snapshot reads fanned out to every
+//!    partition and answered on the event loop that decodes them,
+//!    cross-session visibility once BiST stabilizes a write.
 //! 4. **Read the metrics** (`Cluster::metrics`): one merged snapshot of
 //!    every layer the run just exercised — commit-stage and read-slice
 //!    histograms from the partition engines, socket-boundary counters
@@ -72,7 +73,7 @@ fn main() {
     println!("\nread-your-writes over TCP: {:?}", v.as_deref());
 
     // --- 3b. A multi-partition snapshot read (fans out to every
-    // partition's read workers, each hop a framed socket round).
+    // partition, each hop a framed socket round).
     session.begin().unwrap();
     for k in 2..10u64 {
         session.write(Key(k), Bytes::from(format!("v{k}").into_bytes()));
@@ -156,7 +157,6 @@ fn main() {
         let result = run_rt(&RtSpec {
             dcs: 1,
             partitions: 4,
-            read_workers: 2,
             transport,
             sessions_per_dc: 4,
             txs_per_session: 300,

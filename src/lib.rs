@@ -27,7 +27,6 @@
 //! cargo run --release --example social_graph
 //! cargo run --release --example geo_visibility
 //! cargo run --release --example blocking_anatomy
-//! cargo run --release --example parallel_reads
 //! cargo run --release --example tcp_cluster
 //! ```
 //!
