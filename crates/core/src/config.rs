@@ -10,8 +10,14 @@ pub struct WrenConfig {
     /// Number of partitions per DC (`N`).
     pub n_partitions: u16,
     /// Δ_R: how often a server applies committed transactions, advances
-    /// its version clock and ships replication batches/heartbeats
-    /// (Algorithm 4 line 5), in microseconds.
+    /// its version clock to the physical clock and ships replication
+    /// batches/heartbeats (Algorithm 4 line 5), in microseconds. For a
+    /// driver that only ticks this bounds how long a commit waits to be
+    /// applied. A driver that also calls
+    /// [`WrenServer::advance`](crate::WrenServer::advance) applies and
+    /// ships every commit in the turn it lands, and Δ_R becomes the idle
+    /// heartbeat and the rate at which the stable cut follows the
+    /// physical clock.
     pub replication_tick_micros: u64,
     /// Δ_G: how often partitions exchange BiST stabilization gossip
     /// (Algorithm 4 line 29), in microseconds — the paper's 5 ms by

@@ -52,9 +52,10 @@ const OP_CATCH_UP_DONE: u8 = 7;
 /// The record set follows the server's write path: a cohort logs
 /// [`WalOp::Prepared`] before its `PrepareResp` leaves, a coordinator
 /// logs [`WalOp::Decided`] before fanning out `Commit`/`CommitResp`, a
-/// cohort logs [`WalOp::Commit`] when the decision arrives, the
-/// replication tick logs one [`WalOp::Applied`] per data-bearing tick
-/// and one [`WalOp::RemoteBatch`] per incoming `apply_batch`, and BiST
+/// cohort logs [`WalOp::Commit`] when the decision arrives, a
+/// version-clock advance (the replication tick or `WrenServer::advance`)
+/// logs one [`WalOp::Applied`] when it installs data, an incoming
+/// `apply_batch` logs one [`WalOp::RemoteBatch`], and BiST
 /// advances log [`WalOp::Stable`]. Group commit makes a batch of these
 /// durable before the messages they justify are dispatched;
 /// [`asserts_logged_state`] says which messages those are.
@@ -88,7 +89,7 @@ pub enum WalOp {
         /// Final commit timestamp, or zero for an abort.
         ct: Timestamp,
     },
-    /// A replication tick applied every committed transaction with
+    /// A version-clock advance applied every committed transaction with
     /// `ct ≤ ub` to the store and advanced the local version clock.
     Applied {
         /// The new local version clock.

@@ -49,11 +49,12 @@ pub enum TxEvent {
         /// The transaction.
         tx: TxId,
     },
-    /// A replication tick installed committed transactions locally.
+    /// A version-clock advance (tick or event-driven) installed committed
+    /// transactions locally.
     Applied {
         /// Upper bound the version clock advanced to.
         ub: Timestamp,
-        /// Transactions applied by this tick.
+        /// Transactions applied by this advance.
         txs: u64,
     },
     /// The partition's stable cut (LST/RST) advanced.
@@ -99,7 +100,7 @@ pub struct ServerMetrics {
     pub commit_prepare_micros: Histogram,
     /// Commit stage 2 — cohort vote sent to commit verdict applied, µs.
     pub commit_decide_micros: Histogram,
-    /// Commit stage 3 — commit verdict to replication-tick install, µs.
+    /// Commit stage 3 — commit verdict to local install, µs.
     pub commit_apply_micros: Histogram,
     /// Read-slice service time in µs (writer path and `SliceReader`s).
     pub read_slice_micros: Histogram,
@@ -128,6 +129,15 @@ pub struct ServerMetrics {
     /// `GossipDown`, cascades included): the metadata price of a fresh
     /// stable cut.
     pub gossip_msgs_sent: Counter,
+    /// Heartbeats shipped to sibling replicas (one per sibling per
+    /// version-clock advance that had no data to replicate).
+    pub heartbeats_sent: Counter,
+    /// Version-clock advances made by the replication tick (Δ_R, to the
+    /// physical clock).
+    pub vv_advances_tick: Counter,
+    /// Version-clock advances made by `WrenServer::advance` (in the turn
+    /// a commit landed or a newer clock was heard).
+    pub vv_advances_event: Counter,
     /// In-doubt 2PC rounds the coordinator aborted (and reported to the
     /// client; see the chaos oracle's exactness argument).
     pub tx_aborts_indoubt: Counter,
@@ -171,6 +181,9 @@ impl ServerMetrics {
             visibility_lag_local_gauge: registry.gauge("visibility_lag_local"),
             visibility_lag_remote_gauge: registry.gauge("visibility_lag_remote"),
             gossip_msgs_sent: registry.counter("gossip_msgs_sent"),
+            heartbeats_sent: registry.counter("heartbeats_sent"),
+            vv_advances_tick: registry.counter("vv_advances_tick"),
+            vv_advances_event: registry.counter("vv_advances_event"),
             tx_aborts_indoubt: registry.counter("tx_aborts_indoubt"),
             slices_served: registry.counter("slices_served"),
             keys_read: registry.counter("keys_read"),

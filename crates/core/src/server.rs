@@ -23,7 +23,7 @@ pub struct ServerStats {
     pub slices_served: u64,
     /// Individual keys read.
     pub keys_read: u64,
-    /// Local versions applied by the replication tick.
+    /// Local versions applied by version-clock advances.
     pub local_versions_applied: u64,
     /// Remote versions applied from replication batches.
     pub remote_versions_applied: u64,
@@ -206,20 +206,32 @@ struct CommittedTx {
 /// skew between servers is part of the model.
 ///
 /// **Stabilization cadence is the driver's choice.** A driver that only
-/// calls `on_gossip_tick` gets the paper's cadence: the BiST contribution
-/// leaves every Δ_G, and a write becomes visible up to one Δ_G per tree
-/// level after its version clock passes it (the simulator does this, so
-/// its Wren and Cure figures run at the same Δ_G). A driver that also
-/// calls [`stabilize`](WrenServer::stabilize) at the end of every turn
-/// pushes the contribution as soon as it moves, and the tick is left as
-/// the idle heartbeat that repairs lost pushes (`wren-rt`'s engine does
-/// this). The messages and the stable cut they produce are the same
-/// either way; only when they leave differs.
+/// calls the ticks gets the paper's cadence: the version clock `VV[m]`
+/// moves every Δ_R, the BiST contribution leaves every Δ_G, and a write
+/// becomes visible up to one Δ_R plus one Δ_G per tree level after it
+/// commits (the simulator does this, so its Wren and Cure figures run at
+/// the same Δ_R and Δ_G). A driver that also ends every turn with
+/// [`advance`](WrenServer::advance) and then
+/// [`stabilize`](WrenServer::stabilize) moves the version clock to the
+/// newest timestamp the partition has committed or heard, and pushes the
+/// contribution as soon as it moves; a write is then visible after a few
+/// message delays, and the ticks are left as the idle heartbeat that
+/// follows the physical clock and repairs lost pushes (`wren-rt`'s
+/// engine does this). In tree mode only `GossipUp` carries a peer's
+/// clock: a leaf learns of a commit elsewhere in its DC only from the
+/// root's `GossipDown`, which carries the cut but no clock to advance
+/// to, so its own version clock still waits for its tick and tree mode
+/// gains less. The messages are the same kinds either way; only how many
+/// leave and when differs.
 ///
 /// Key invariant (the reason reads never block): once the version clock
 /// `VV[m]` is advanced to `ub`, no transaction will ever commit on this
-/// partition with `ct ≤ ub`. The LST (a min over version clocks) therefore
-/// only ever names fully-installed snapshots.
+/// partition with `ct ≤ ub`. It holds because `ub` never passes the
+/// hybrid clock (every future proposal is above it) and stops below the
+/// lowest prepared proposal; `advance` first merges its cap into the
+/// hybrid clock, so the rule is the same for the tick and for `advance`.
+/// The LST (a min over version clocks) therefore only ever names
+/// fully-installed snapshots.
 #[derive(Debug)]
 pub struct WrenServer {
     id: ServerId,
@@ -229,6 +241,11 @@ pub struct WrenServer {
     /// `VV[i]`: latest update applied from DC `i`'s sibling; `VV[m]` is the
     /// local version clock.
     vv: VersionVector,
+    /// The highest timestamp a stabilization or replication message has
+    /// carried here: a peer's `StableGossip`/`GossipUp` clock, a
+    /// sibling's heartbeat, a replicated `ct`'s successor. One of the two
+    /// values [`advance`](WrenServer::advance) may raise `VV[m]` to.
+    heard: Timestamp,
     /// The partition's data plus the published LST/RST watermarks. Shared
     /// (`Arc`) so [`SliceReader`] handles serve reads from other threads;
     /// the server itself is the only writer.
@@ -333,6 +350,7 @@ impl WrenServer {
             clock,
             hlc: HybridClock::new(),
             vv: VersionVector::new(cfg.n_dcs as usize),
+            heard: Timestamp::ZERO,
             store: Arc::new(ConcurrentShardedStore::new()),
             read_stats,
             prepared: HashMap::new(),
@@ -408,6 +426,7 @@ impl WrenServer {
         let mut stats = self.stats;
         stats.slices_served = self.read_stats.slices_served.get();
         stats.keys_read = self.read_stats.keys_read.get();
+        stats.heartbeats_sent = self.metrics.heartbeats_sent.get();
         stats.wal_records_logged = self.log.as_ref().map_or(0, |l| l.records_logged());
         stats
     }
@@ -542,6 +561,10 @@ impl WrenServer {
                     debug_assert!(false, "Replicate must come from a server");
                     return;
                 };
+                // The successor, not `ct`: the other DC reads remote
+                // versions at `rt = min(rst, lt − 1)`, so `ct` becomes
+                // readable there only once its own LST is past `ct`.
+                self.heard = self.heard.max(batch.ct.successor());
                 self.on_replicate(sibling, batch, now_micros);
             }
             WrenMsg::Heartbeat { t } => {
@@ -549,6 +572,7 @@ impl WrenServer {
                     debug_assert!(false, "Heartbeat must come from a server");
                     return;
                 };
+                self.heard = self.heard.max(t);
                 // During a catch-up window that DC's heartbeats are
                 // ignored: `t` vouches for versions that may have died
                 // in the crashed process's inbox and are still being
@@ -562,6 +586,7 @@ impl WrenServer {
                     debug_assert!(false, "StableGossip must come from a server");
                     return;
                 };
+                self.heard = self.heard.max(local);
                 self.gossip_contrib[peer.partition.index()] = (local, remote);
                 self.recompute_stable(now_micros);
             }
@@ -570,6 +595,7 @@ impl WrenServer {
                     debug_assert!(false, "GossipUp must come from a server");
                     return;
                 };
+                self.heard = self.heard.max(local);
                 // A child's subtree minimum: folded in and passed on by
                 // the next push (`stabilize` at the end of this turn, or
                 // the tick).
@@ -1056,8 +1082,17 @@ impl WrenServer {
     }
 
     /// Algorithm 4 lines 5–21 (Δ_R): apply committed transactions in
-    /// commit-timestamp order, advance the version clock and ship
-    /// replication batches (or a heartbeat when idle).
+    /// commit-timestamp order, advance the version clock to the physical
+    /// clock (or just below the lowest prepared proposal) and ship
+    /// replication batches (or a heartbeat when nothing was committed).
+    ///
+    /// This is the only place the version clock follows physical time.
+    /// For a driver that only ticks, it is also the only place the
+    /// version clock moves, so a write waits up to Δ_R here before any
+    /// partition can count it stable. A driver that also calls
+    /// [`advance`](Self::advance) every turn leaves the tick two jobs:
+    /// the idle heartbeat, and moving the cut with time when nothing
+    /// commits.
     ///
     /// Returns the number of versions applied (drivers use it to charge
     /// CPU time proportional to the work done).
@@ -1066,10 +1101,62 @@ impl WrenServer {
         now_micros: u64,
         out: &mut Vec<Outgoing<WrenMsg>>,
     ) -> usize {
+        let applied = self.apply_and_ship(now_micros, None, out);
+        if applied.is_some() {
+            self.metrics.vv_advances_tick.inc();
+        }
+        applied.unwrap_or(0)
+    }
+
+    /// Event-driven replication: raises `VV[m]` to the newest timestamp
+    /// this partition has committed (its successor) or heard from a peer
+    /// or sibling, applies what that covers and ships it — the body of
+    /// [`on_replication_tick`](Self::on_replication_tick) capped at that
+    /// timestamp instead of the physical clock. Returns whether `VV[m]`
+    /// moved; when nothing newer was committed or heard it costs a few
+    /// compares and sends nothing.
+    ///
+    /// A driver calls this at the end of each turn, before
+    /// [`stabilize`](Self::stabilize), so a commit is applied, shipped and
+    /// counted in the stable cut in the turn it lands, and a peer that
+    /// hears of it follows in the turn the news arrives: a write becomes
+    /// visible after a few message delays instead of up to Δ_R later.
+    ///
+    /// The cap is never the physical clock (peers would chase each
+    /// other's clocks message by message; the tick does that once per
+    /// Δ_R) and never a bare `ct` (a commit whose coordinator was also
+    /// its only cohort would then wait for a tick to be readable from
+    /// another DC, where `rt < lt`).
+    pub fn advance(&mut self, now_micros: u64, out: &mut Vec<Outgoing<WrenMsg>>) -> bool {
+        let newest_commit = self
+            .committed
+            .last_key_value()
+            .map_or(Timestamp::ZERO, |((ct, _), _)| ct.successor());
+        let cap = self.heard.max(newest_commit);
+        if cap <= self.version_clock() {
+            return false;
+        }
+        let moved = self.apply_and_ship(now_micros, Some(cap), out).is_some();
+        if moved {
+            self.metrics.vv_advances_event.inc();
+        }
+        moved
+    }
+
+    /// Algorithm 4 lines 5–21 with the version clock's target capped at
+    /// `cap` (`None` for the tick: the hybrid clock). Returns the
+    /// versions applied, or `None` when `VV[m]` did not move.
+    fn apply_and_ship(
+        &mut self,
+        now_micros: u64,
+        cap: Option<Timestamp>,
+        out: &mut Vec<Outgoing<WrenMsg>>,
+    ) -> Option<usize> {
         let phys = self.clock.now_micros(now_micros);
-        // Absorb physical time so that ub is a genuine lower bound on every
-        // future proposal (future pts are > HLC ≥ ub; see struct docs).
-        self.hlc.merge(phys, Timestamp::ZERO);
+        // Absorb physical time and the cap, so that ub is a genuine lower
+        // bound on every future proposal (future pts are > HLC ≥ ub; see
+        // struct docs).
+        self.hlc.merge(phys, cap.unwrap_or(Timestamp::ZERO));
 
         let ub = if self.prepared.is_empty() {
             self.hlc.current()
@@ -1081,9 +1168,10 @@ impl WrenServer {
                 .expect("non-empty")
                 .predecessor()
         };
+        let ub = cap.map_or(ub, |cap| ub.min(cap));
 
         if ub <= self.version_clock() {
-            return 0;
+            return None;
         }
 
         let mut applied = 0usize;
@@ -1092,8 +1180,8 @@ impl WrenServer {
             for &sibling in &self.siblings {
                 out.push(Outgoing::to_server(sibling, WrenMsg::Heartbeat { t: ub }));
             }
-            self.stats.heartbeats_sent += self.siblings.len() as u64;
-            return 0;
+            self.metrics.heartbeats_sent.add(self.siblings.len() as u64);
+            return Some(0);
         }
 
         // Split off the transactions with ct ≤ ub, in ascending ct order.
@@ -1142,14 +1230,14 @@ impl WrenServer {
         }
         self.vv.set(self.dc_index(), ub);
         self.trace.push(TxEvent::Applied { ub, txs: txs_applied });
-        // One Applied record per data-bearing tick: replay re-installs
+        // One Applied record per data-bearing advance: replay re-installs
         // the covered transactions and re-raises the version clock. The
         // heartbeat path above intentionally logs nothing — its ub
         // carries no data, and the clock re-advances after recovery.
         if let Some(log) = &mut self.log {
             log.append(&WalOp::Applied { ub });
         }
-        applied
+        Some(applied)
     }
 
     fn ship_batch(&mut self, ct: Timestamp, mut txs: Vec<RepTx>, out: &mut Vec<Outgoing<WrenMsg>>) {

@@ -316,7 +316,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Δ_R: apply/replication tick.
+    /// Δ_R: the replication tick (default 1 ms, the paper's). Engines
+    /// apply and ship every commit, and raise their version clocks to
+    /// any newer one they hear, in the turn it happens, so this does not
+    /// set visibility; it is the idle heartbeat, and the rate at which
+    /// the version clocks — and with them the stable cut — follow the
+    /// physical clock while nothing commits.
     pub fn replication_tick(mut self, d: Duration) -> Self {
         self.replication_tick = d;
         self

@@ -3,10 +3,15 @@
 //! start/read fan-out, 2PC, replication, stabilization, GC ticks
 //! ([`server_loop`]).
 //!
-//! Stabilization is change-driven here: every turn ends by pushing the
-//! partition's BiST contribution if it moved ([`WrenServer::stabilize`]),
-//! so the stable cut follows the version clocks at network speed; the
-//! gossip tick is only the idle heartbeat that repairs a lost push.
+//! Replication and stabilization are event-driven here: every turn ends
+//! by raising the version clock to the newest timestamp the partition
+//! committed or heard, applying and shipping what that covers
+//! ([`WrenServer::advance`]), and then pushing the partition's BiST
+//! contribution if it moved ([`WrenServer::stabilize`]). A commit is
+//! therefore in the stable cut a few message delays after it lands. The
+//! replication tick (Δ_R) is left to move the version clock with the
+//! physical clock while nothing commits, and the gossip tick (Δ_G) to
+//! repair a lost push.
 //!
 //! Read slices never reach this thread. Wren's reads never block (paper
 //! §IV-B): a `SliceReq` names a stable snapshot, so answering it needs
@@ -183,11 +188,16 @@ const MAX_DRAIN: usize = 64;
 /// clock reads or tick checks are paid again. `SliceReq`s never reach
 /// this loop: the router answers them where they arrive.
 ///
-/// **Stabilization** does not wait for the gossip tick: every turn — a
+/// **Replication and stabilization** wait for no tick: every turn — a
 /// burst, a tick, the rejoin — ends in [`commit_and_dispatch`], which
-/// first pushes the BiST contribution if the turn moved it. A write is
-/// therefore visible about one replication tick plus a message delay
-/// after it commits, not up to a further Δ_G later. The gossip tick
+/// first advances the version clock to what the turn committed or heard
+/// and then pushes the BiST contribution if that moved it. A write is
+/// therefore visible a few message delays after it commits: the commit
+/// turn applies it, ships it and pushes; each peer hears the push and
+/// advances in turn. A turn that moved the version clock postpones the
+/// replication tick by a full Δ_R, so an idle DC runs one tick round
+/// per Δ_R — led by whichever partition's tick fires first, the others
+/// following its push — rather than one per partition. The gossip tick
 /// (default 5 ms, the paper's Δ_G) keeps the crash-resolution work and
 /// an unconditional push that repairs any push lost in transit.
 ///
@@ -261,7 +271,7 @@ pub(crate) fn server_loop(
         }
         let wait = next_tick.saturating_duration_since(now_inst);
 
-        match rx.recv_timeout(wait) {
+        let advanced = match rx.recv_timeout(wait) {
             Ok(RtMsg::Proto { src, msg }) => {
                 let now = clock.read();
                 server.handle(src, msg, now, &mut out);
@@ -286,27 +296,32 @@ pub(crate) fn server_loop(
                         None => break,
                     }
                 }
-                commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now);
+                commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now)
             }
             Ok(RtMsg::Batch { src, msgs }) => {
                 let now = clock.read();
                 for msg in msgs {
                     server.handle(src, msg, now, &mut out);
                 }
-                commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now);
+                commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now)
             }
             Ok(RtMsg::PeerLinkLost { peer }) => {
                 let now = clock.read();
                 server.on_peer_link_lost(peer, now, &mut out);
-                commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now);
+                commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now)
             }
             Ok(RtMsg::Shutdown) => return finish(id, server, &clock, &rx, &router, out, held),
             Ok(RtMsg::Kill) | Err(RecvTimeoutError::Disconnected) => return server,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
+            Err(RecvTimeoutError::Timeout) => false,
+        };
 
         let now_inst = Instant::now();
         let now = clock.read();
+        if advanced {
+            // The version clock just moved and its push is out: the peers
+            // follow it, so this partition's own tick can wait a full Δ_R.
+            next_repl = now_inst + repl;
+        }
         if now_inst >= next_repl {
             server.on_replication_tick(now, &mut out);
             commit_and_dispatch(id, &mut server, &router, &clock, &mut out, &mut held, now);
@@ -386,15 +401,18 @@ impl Held {
     }
 }
 
-/// End a writer turn: push the stable cut if it moved, flush the WAL to
+/// End a writer turn: advance the version clock to what the turn
+/// committed or heard, push the stable cut if it moved, flush the WAL to
 /// the fsync policy's promise, then let the turn's outputs leave the
 /// thread. The order is the whole point: dispatch is the moment effects
-/// become observable, so the flush must come first — and the push comes
-/// before both, so its gossip rides the same hold rule as everything
-/// else the turn produced. A turn that advanced the version clock, took
-/// in a sibling's heartbeat or batch, or stored a child's `GossipUp`
-/// pushes ([`WrenServer::stabilize`]); a turn that moved nothing sends
-/// nothing.
+/// become observable, so the flush must come first — and the advance
+/// and the push come before both, so their `Applied` record is in the
+/// flush and their replication, heartbeats and gossip ride the same hold
+/// rule as everything else the turn produced. A turn that committed,
+/// heard a newer clock ([`WrenServer::advance`]), took in a sibling's
+/// heartbeat or batch, or stored a child's `GossipUp` pushes
+/// ([`WrenServer::stabilize`]); a turn that moved nothing sends nothing.
+/// Returns whether the version clock moved.
 ///
 /// Under `FsyncPolicy::Window` the log may be left with unsynced bytes
 /// (deadline open). The outputs that
@@ -414,13 +432,14 @@ fn commit_and_dispatch(
     out: &mut Vec<Outgoing<WrenMsg>>,
     held: &mut Held,
     now: u64,
-) {
+) -> bool {
+    let advanced = server.advance(now, out);
     server.stabilize(now, out);
     server.log_commit_point().expect("wal commit point failed");
     if server.log_sync_deadline().is_none() {
         held.release(id, router, clock);
         router.dispatch(id, out.drain(..));
-        return;
+        return advanced;
     }
     if held.msgs.is_empty() {
         held.since = now;
@@ -438,6 +457,7 @@ fn commit_and_dispatch(
         }),
     );
     held.depth.set(held.msgs.len() as u64);
+    advanced
 }
 
 /// Graceful shutdown: handle everything still queued behind the poison

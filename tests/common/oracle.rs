@@ -9,7 +9,9 @@
 //! §II-C definition of a causal snapshot — plus atomic visibility and
 //! the per-session guarantees (read-your-writes, monotonic reads).
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 use wren::clock::Timestamp;
 use wren::protocol::Key;
 
@@ -36,10 +38,18 @@ pub struct TxRecord {
     pub deps: Vec<Marker>,
 }
 
+/// Per key, the LWW-newest write anywhere in one transaction's causal
+/// past (itself included), and the transaction that made it.
+type PastHigh = HashMap<Key, (Order, Marker)>;
+
 /// The oracle: every committed transaction by its marker.
 #[derive(Default)]
 pub struct Oracle {
     pub txs: HashMap<Marker, TxRecord>,
+    /// [`PastHigh`] of every transaction whose causal past has been
+    /// asked for, is wholly recorded and is acyclic. A record is never
+    /// changed once inserted, so an entry never goes stale.
+    past_high: RefCell<HashMap<Marker, Rc<PastHigh>>>,
 }
 
 #[allow(dead_code)]
@@ -58,40 +68,103 @@ impl Oracle {
         past
     }
 
+    /// Folds `(order, by)` into `high`'s entry for `k`, keeping the newer.
+    fn raise(high: &mut PastHigh, k: Key, order: Order, by: Marker) {
+        let e = high.entry(k).or_insert((order, by));
+        if order > e.0 {
+            *e = (order, by);
+        }
+    }
+
+    /// [`PastHigh`] of `m`: each transaction's is its own writes folded
+    /// with its dependencies', built once, dependencies first — so a
+    /// history costs O(dependency edges × keys) however often its
+    /// transactions are observed, where walking every observed writer's
+    /// whole past costs O(snapshots × past). A past with an unrecorded
+    /// dependency or a cycle (both impossible in a correct history) is
+    /// walked in full and not remembered.
+    fn past_high(&self, m: Marker) -> Rc<PastHigh> {
+        if let Some(high) = self.memoized_past_high(m) {
+            return high;
+        }
+        let mut high = PastHigh::new();
+        for dep in self.causal_past(m) {
+            if let Some(rec) = self.txs.get(&dep) {
+                for k in &rec.writes {
+                    Self::raise(&mut high, *k, rec.order, dep);
+                }
+            }
+        }
+        Rc::new(high)
+    }
+
+    /// Depth-first, dependencies before dependents; `None` on an
+    /// unrecorded dependency or a cycle. Everything finished before such
+    /// a stop had a complete, acyclic past and stays memoized.
+    fn memoized_past_high(&self, m: Marker) -> Option<Rc<PastHigh>> {
+        let mut memo = self.past_high.borrow_mut();
+        // Expanded: meeting one of these again before it is memoized
+        // means a dependency cycle.
+        let mut open: HashSet<Marker> = HashSet::new();
+        let mut stack = vec![(m, false)];
+        while let Some((cur, deps_done)) = stack.pop() {
+            let rec = self.txs.get(&cur)?;
+            if deps_done {
+                let mut high = PastHigh::new();
+                for k in &rec.writes {
+                    Self::raise(&mut high, *k, rec.order, cur);
+                }
+                for dep in &rec.deps {
+                    for (k, (order, by)) in memo[dep].iter() {
+                        Self::raise(&mut high, *k, *order, *by);
+                    }
+                }
+                memo.insert(cur, Rc::new(high));
+            } else if !memo.contains_key(&cur) {
+                if !open.insert(cur) {
+                    return None;
+                }
+                stack.push((cur, true));
+                stack.extend(
+                    rec.deps
+                        .iter()
+                        .filter(|d| !memo.contains_key(*d))
+                        .map(|d| (*d, false)),
+                );
+            }
+        }
+        Some(Rc::clone(&memo[&m]))
+    }
+
     /// Asserts that one transaction's reads form a causal snapshot.
     ///
     /// For every observed writer W and every transaction X in W's causal
     /// past that wrote a key `k` this transaction also read: the observed
     /// version of `k` must be X's write or something LWW-newer. (If the
-    /// read returned `None`, X must not exist.)
+    /// read returned `None`, X must not exist.) Checked against the
+    /// LWW-newest such X per key, which fails exactly when some X does.
     pub fn check_causal_snapshot(&self, observed: &[(Key, Option<Marker>)]) {
-        let observed_map: HashMap<Key, Option<Marker>> = observed.iter().cloned().collect();
         for (_, seen) in observed {
             let Some(writer) = seen else { continue };
-            for dep in self.causal_past(*writer) {
-                let Some(dep_rec) = self.txs.get(&dep) else {
-                    continue;
+            let high = self.past_high(*writer);
+            for (k, seen_for_k) in observed {
+                let Some((dep_order, dep)) = high.get(k) else {
+                    continue; // nothing in the writer's past wrote k
                 };
-                for k in &dep_rec.writes {
-                    let Some(seen_for_k) = observed_map.get(k) else {
-                        continue; // this tx did not read k
-                    };
-                    match seen_for_k {
-                        None => panic!(
-                            "causal violation: snapshot shows {writer:?} but read of \
-                             {k:?} returned nothing, despite dependency {dep:?} writing it"
-                        ),
-                        Some(seen_writer) => {
-                            let seen_order = self.txs[seen_writer].order;
-                            assert!(
-                                seen_order >= dep_rec.order,
-                                "causal violation: snapshot shows {writer:?} (which \
-                                 depends on {dep:?} writing {k:?} at {:?}) but the read \
-                                 of {k:?} returned the older {seen_writer:?} at {:?}",
-                                dep_rec.order,
-                                seen_order
-                            );
-                        }
+                match seen_for_k {
+                    None => panic!(
+                        "causal violation: snapshot shows {writer:?} but read of \
+                         {k:?} returned nothing, despite dependency {dep:?} writing it"
+                    ),
+                    Some(seen_writer) => {
+                        let seen_order = self.txs[seen_writer].order;
+                        assert!(
+                            seen_order >= *dep_order,
+                            "causal violation: snapshot shows {writer:?} (which \
+                             depends on {dep:?} writing {k:?} at {dep_order:?}) but the \
+                             read of {k:?} returned the older {seen_writer:?} at \
+                             {seen_order:?}"
+                        );
                     }
                 }
             }

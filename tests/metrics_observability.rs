@@ -145,6 +145,12 @@ fn merged_snapshot_covers_every_layer_after_loopback_run() {
     assert!(snap.counter("slices_served") > 0, "no slices served");
     assert!(snap.counter("keys_read") > 0, "no keys read");
     assert!(snap.counter("gossip_msgs_sent") > 0, "no stabilization message counted");
+    // The replication side of the metadata price: heartbeats, and the
+    // version-clock advances made by the tick and by committed or
+    // heard timestamps.
+    for c in ["heartbeats_sent", "vv_advances_tick", "vv_advances_event"] {
+        assert!(snap.counter(c) > 0, "replication counter {c} is zero");
+    }
     // What the stores hold (a merged gauge is the largest partition's):
     // the run's 8 keys are spread over 2 partitions.
     for g in ["store_keys", "store_versions", "store_heap_bytes"] {

@@ -1,10 +1,12 @@
-//! Change-driven stabilization, end to end: the `wren-rt` engines push a
-//! partition's BiST contribution as soon as it moves, so a committed
-//! write becomes readable by other sessions at network speed — with no
-//! help from the gossip tick at all. Each cluster here runs with a
-//! one-hour Δ_G, so any read that sees a write within the deadline saw
-//! it through pushes alone; at tick-only cadence nothing would ever
-//! stabilize.
+//! Event-driven replication and stabilization, end to end: the `wren-rt`
+//! engines raise a partition's version clock in the turn a commit lands
+//! or a newer clock is heard, and push its BiST contribution as soon as
+//! it moves, so a committed write becomes readable by other sessions
+//! after a few message delays — with no help from either tick. Each
+//! cluster here runs with a one-hour Δ_R and a one-hour Δ_G, so any read
+//! that sees a write within the deadline saw it through event-driven
+//! advances and pushes alone; at tick-only cadence nothing would ever
+//! become visible.
 
 use bytes::Bytes;
 use std::time::{Duration, Instant};
@@ -12,8 +14,8 @@ use wren::protocol::Key;
 use wren::rt::{Backend, Cluster, ClusterBuilder, Session};
 
 /// How long a write may take to become visible to another session. The
-/// engines normally need about one replication tick (1 ms) plus a few
-/// message delays; the margin absorbs a loaded test machine.
+/// engines normally need a few message delays (~0.1–0.2 ms); the margin
+/// absorbs a loaded test machine.
 const VISIBLE_WITHIN: Duration = Duration::from_millis(250);
 
 fn commit_one(session: &mut Session, key: Key, value: &'static [u8]) {
@@ -42,7 +44,7 @@ fn time_to_visible(reader: &mut Session, key: Key, value: &[u8]) -> Duration {
     }
 }
 
-fn writes_become_visible_without_gossip_ticks(cluster: &Cluster, fabric: &str) {
+fn writes_become_visible_without_ticks(cluster: &Cluster, fabric: &str) {
     let n = cluster.n_partitions();
 
     // Same DC, across partitions: the key lives on the partition the
@@ -69,13 +71,14 @@ fn cluster() -> ClusterBuilder {
     ClusterBuilder::new()
         .dcs(2)
         .partitions(2)
+        .replication_tick(Duration::from_secs(3600))
         .gossip_tick(Duration::from_secs(3600))
 }
 
 #[test]
 fn channel_cluster_stabilizes_without_gossip_ticks() {
     let cluster = cluster().build();
-    writes_become_visible_without_gossip_ticks(&cluster, "channels");
+    writes_become_visible_without_ticks(&cluster, "channels");
     cluster.stop();
 }
 
@@ -83,7 +86,7 @@ fn channel_cluster_stabilizes_without_gossip_ticks() {
 fn epoll_tcp_cluster_stabilizes_without_gossip_ticks() {
     let cluster = cluster().tcp().backend(Backend::Epoll).build();
     assert_eq!(cluster.tcp_backend(), Some(Backend::Epoll));
-    writes_become_visible_without_gossip_ticks(&cluster, "epoll tcp");
+    writes_become_visible_without_ticks(&cluster, "epoll tcp");
     assert_eq!(cluster.tcp_dropped_frames(), 0);
     cluster.stop();
 }
