@@ -429,10 +429,9 @@ fn reframe(payload: &[u8]) -> bytes::Bytes {
 /// Framed request→response over loopback through the reactor: the
 /// full per-operation transport bill — encode, frame, write(2),
 /// wakeup, decode, re-frame, write back, read back — that a session
-/// pays on every server round trip. `reactor_roundtrip` runs the epoll
-/// backend and `uring_roundtrip` (below, when the kernel offers it) the
-/// io_uring one. The message is the one `codec_frame_roundtrip`
-/// measures, so that bench is the framing-cost baseline:
+/// pays on every server round trip. The message is the one
+/// `codec_frame_roundtrip` measures, so that bench is the framing-cost
+/// baseline:
 /// (roundtrip − 2×`codec_frame_roundtrip`) isolates what the sockets,
 /// wakeups and syscalls cost.
 fn bench_transport(c: &mut Criterion) {
@@ -485,69 +484,6 @@ fn bench_transport(c: &mut Criterion) {
     c.bench_function("reactor_roundtrip_pipelined", |b| {
         const PIPELINE: usize = 32;
         let reactor = Reactor::start(2, Echo).unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        reactor.add_listener(listener, 0, 16 * 1024 * 1024).unwrap();
-        let mut write = TcpStream::connect(addr).unwrap();
-        write.set_nodelay(true).unwrap();
-        let mut reader = FramedReader::new(write.try_clone().unwrap());
-        let framed = frame_wren(&msg);
-        let mut burst = Vec::with_capacity(framed.len() * PIPELINE);
-        for _ in 0..PIPELINE {
-            burst.extend_from_slice(&framed);
-        }
-        b.iter(|| {
-            write.write_all(&burst).unwrap();
-            for _ in 0..PIPELINE {
-                let payload = reader.next_frame().unwrap().expect("echo");
-                black_box(WrenMsg::decode(&payload).unwrap());
-            }
-        });
-        reactor.shutdown();
-        reactor.join();
-    });
-
-    // The same two shapes over the io_uring backend: identical handler,
-    // identical wire traffic, only the syscall interface changes —
-    // `uring_roundtrip` vs `reactor_roundtrip` is the per-event
-    // latency delta, `uring_roundtrip_pipelined` vs
-    // `reactor_roundtrip_pipelined` the amortized-throughput one
-    // (linked-send chains + one `io_uring_enter` per burst vs one
-    // writev per drain). Registered only when the kernel offers
-    // io_uring — benchmarking the epoll fallback under a uring name
-    // would poison baseline comparisons.
-    if !wren_net::uring::available() {
-        eprintln!("SKIP uring_roundtrip / uring_roundtrip_pipelined: io_uring unavailable");
-        return;
-    }
-    use wren_net::{Backend, ReactorOptions};
-    let uring_opts = || ReactorOptions {
-        backend: Backend::Uring,
-        ..ReactorOptions::default()
-    };
-
-    c.bench_function("uring_roundtrip", |b| {
-        let reactor = Reactor::with_options(2, Echo, uring_opts()).unwrap();
-        assert_eq!(reactor.backend(), Backend::Uring);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        reactor.add_listener(listener, 0, 16 * 1024 * 1024).unwrap();
-        let mut write = TcpStream::connect(addr).unwrap();
-        write.set_nodelay(true).unwrap();
-        let mut reader = FramedReader::new(write.try_clone().unwrap());
-        b.iter(|| {
-            write.write_all(&frame_wren(&msg)).unwrap();
-            let payload = reader.next_frame().unwrap().expect("echo");
-            black_box(WrenMsg::decode(&payload).unwrap())
-        });
-        reactor.shutdown();
-        reactor.join();
-    });
-
-    c.bench_function("uring_roundtrip_pipelined", |b| {
-        const PIPELINE: usize = 32;
-        let reactor = Reactor::with_options(2, Echo, uring_opts()).unwrap();
-        assert_eq!(reactor.backend(), Backend::Uring);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         reactor.add_listener(listener, 0, 16 * 1024 * 1024).unwrap();

@@ -3,7 +3,7 @@
 //! The simulator harness ([`run`](crate::run)) reproduces the paper's
 //! figures under a modeled network; this driver measures the *real*
 //! runtime end to end — OS threads, sockets, kernel — on each of its
-//! three transports:
+//! two transports:
 //!
 //! * [`RtTransport::Channel`] — in-process crossbeam channels (the
 //!   zero-copy upper bound);
@@ -11,10 +11,7 @@
 //!   sessions served by the reactor fabric (fixed thread pool) on
 //!   epoll, so the measured cost includes encode/frame/syscall/decode
 //!   on **every** protocol hop, exactly what separate processes would
-//!   pay;
-//! * [`RtTransport::TcpUring`] — the same fabric on the io_uring
-//!   backend, isolating what the syscall interface costs at the same
-//!   thread topology.
+//!   pay.
 //!
 //! [`RtSpec::fsync`] additionally puts a write-ahead log under every
 //! partition, so the same driver sweeps durability policies (the
@@ -29,7 +26,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use wren_protocol::Key;
-use wren_rt::{Backend, ClusterBuilder, FsyncPolicy};
+use wren_rt::{ClusterBuilder, FsyncPolicy};
 
 /// Which transport the runtime cluster runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,10 +36,6 @@ pub enum RtTransport {
     /// Loopback TCP: framed sessions over real sockets, served by the
     /// epoll reactor fabric (fixed thread pool).
     Tcp,
-    /// Loopback TCP on the reactor fabric's io_uring backend (falls
-    /// back to epoll where the kernel lacks it — check
-    /// `wren_net::uring::available()` before attributing numbers).
-    TcpUring,
 }
 
 /// A closed-loop workload against the runtime cluster.
@@ -118,7 +111,6 @@ pub fn run_rt(spec: &RtSpec) -> RtRunResult {
     match spec.transport {
         RtTransport::Channel => {}
         RtTransport::Tcp => builder = builder.tcp(),
-        RtTransport::TcpUring => builder = builder.tcp().backend(Backend::Uring),
     }
     let mut wal_dir = None;
     if let Some(policy) = spec.fsync {

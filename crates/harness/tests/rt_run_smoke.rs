@@ -35,16 +35,6 @@ fn rt_run_tcp_smoke() {
 }
 
 #[test]
-fn rt_run_tcp_uring_smoke() {
-    // On hosts without io_uring this exercises the epoll fallback —
-    // still a valid smoke of the spec plumbing.
-    let result = run_rt(&small(RtTransport::TcpUring));
-    assert_eq!(result.txs, 80);
-    assert!(result.throughput > 0.0);
-    assert!(result.mean_latency_ms > 0.0);
-}
-
-#[test]
 fn rt_run_durable_smoke() {
     use wren_harness::{FsyncPolicy, RtSpec};
     let spec = RtSpec {

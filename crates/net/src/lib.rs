@@ -10,33 +10,15 @@
 //!   FrameDecoder is push-based: feed it whatever chunks arrive,
 //!   drain complete payloads. It never touches a socket.
 //! writev  (this crate)            how many frames per syscall.
-//!   Both backends batch queued frames into one vectored write —
-//!   the gather/settle arithmetic (partial writes resuming
-//!   mid-frame) lives in its own socket-free module under property
-//!   test.
+//!   The reactor batches queued frames into one writev(2) — the
+//!   gather/settle arithmetic (partial writes resuming mid-frame)
+//!   lives in its own socket-free module under property test.
 //! reactor (this crate)            which thread does the I/O, and when.
-//!   A fixed pool of event loops serves every fd (Reactor). Each
-//!   connection has a bounded send queue (ConnHandle): protocol
+//!   A fixed pool of epoll event loops serves every fd (Reactor).
+//!   Each connection has a bounded send queue (ConnHandle): protocol
 //!   threads enqueue in O(1) and never call write(2); a peer that
 //!   stops reading backs its queue past the cap and is severed.
-//! backend (this crate)            which syscalls move the bytes.
-//!   The reactor's loop body is pluggable: readiness-driven epoll
-//!   (poll.rs: epoll_wait, then read/writev per ready fd) or
-//!   completion-driven io_uring (uring.rs: multishot accepts,
-//!   provided-buffer recvs and one vectored sendmsg per connection's
-//!   batch, one io_uring_enter per loop turn). Selected per Reactor via
-//!   [`ReactorOptions`]; [`uring::available`] probes the kernel at
-//!   runtime and anything missing falls back to epoll silently.
 //! ```
-//!
-//! **When epoll vs uring:** epoll is the default and runs everywhere;
-//! its per-event syscall cost only matters once frame rates are high
-//! enough that `epoll_wait`+`read`+`writev` dominate over protocol
-//! work. Prefer `Backend::Uring` for high-throughput pipelined
-//! workloads on kernels ≥ 5.19 (multishot accept); keep epoll for
-//! portability, under seccomp policies that deny `io_uring_setup`
-//! (common in container sandboxes), or when debugging with strace —
-//! uring's one-visible-syscall profile hides the I/O from it.
 //!
 //! The pieces:
 //!
@@ -78,8 +60,7 @@
 //!
 //! [`TcpStream`]: std::net::TcpStream
 
-// unsafe is allowed only in poll::sys and uring::sys, the two FFI
-// boundaries (epoll/eventfd and io_uring respectively).
+// unsafe is allowed only in poll::sys, the epoll/eventfd FFI boundary.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -89,14 +70,12 @@ mod hello;
 pub mod poll;
 pub mod reactor;
 mod reader;
-pub mod uring;
 mod writev;
 
 pub use error::NetError;
 pub use fault::{FaultPlan, FaultStats, SendVerdict};
 pub use hello::Hello;
 pub use reactor::{
-    Backend, ConnHandle, ListenerHandle, Reactor, ReactorHandler, ReactorMetrics, ReactorOptions,
-    DEFAULT_OUTBOX_BYTES,
+    ConnHandle, ListenerHandle, Reactor, ReactorHandler, ReactorMetrics, DEFAULT_OUTBOX_BYTES,
 };
 pub use reader::FramedReader;

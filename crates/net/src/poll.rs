@@ -379,15 +379,6 @@ impl Waker {
     }
 }
 
-impl AsRawFd for Waker {
-    /// The raw eventfd, so other readiness backends (io_uring's
-    /// `POLL_ADD` in [`crate::uring`]) can watch the same wakeup line
-    /// the epoll path registers with its poller.
-    fn as_raw_fd(&self) -> std::os::fd::RawFd {
-        self.fd.as_raw_fd()
-    }
-}
-
 /// Binds an IPv4 TCP listener with `SO_REUSEADDR` set before the bind.
 ///
 /// A killed partition leaves its accepted sockets in `TIME_WAIT`; a

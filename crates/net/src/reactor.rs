@@ -1,5 +1,5 @@
-//! The reactor: every connection of a process served by a fixed
-//! thread pool, over a pluggable readiness [`Backend`].
+//! The reactor: every connection of a process served by a fixed pool
+//! of epoll event-loop threads.
 //!
 //! This module serves *all* of a process's connections — listeners,
 //! accepted sessions, dialed peer links — from `reactor_threads` event
@@ -33,19 +33,6 @@
 //! [`ReactorHandler::on_burst_end`], so a handler can coalesce the
 //! burst's frames into a single downstream delivery. `wren-rt`
 //! implements the handler to route frames into its partition engines.
-//!
-//! **Backend dispatch.** Everything above this line — the handler
-//! contract, the handles, the send-queue accounting, the registration
-//! and command queues — is backend-neutral. What varies per
-//! [`Backend`] is only the event-loop body each thread runs:
-//! [`Backend::Epoll`] waits on a level-triggered [`Poller`] and pays
-//! one syscall per readiness event per fd; [`Backend::Uring`]
-//! ([`crate::uring`]) keeps multishot-accept, buffered-recv and
-//! vectored-send submissions resident in kernel rings and pays one
-//! `io_uring_enter` per *batch* of completions. A request for
-//! `Uring` on a kernel (or container seccomp policy) that cannot
-//! serve it degrades to `Epoll` at [`Reactor::with_options`] time;
-//! [`Reactor::backend`] reports what actually runs.
 
 use crate::poll::{PollEvents, Poller, Waker};
 use crate::writev::{plan_batch, settle};
@@ -64,7 +51,7 @@ use wren_protocol::frame::FrameDecoder;
 const WAKER_TOKEN: u64 = u64::MAX;
 
 /// Read-side chunk size, matching [`crate::FramedReader`]'s.
-pub(crate) const READ_CHUNK: usize = 16 * 1024;
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Per-readiness-event read budget: after this many bytes the loop
 /// yields to other connections; level-triggered readiness re-reports
@@ -78,7 +65,7 @@ const READ_BUDGET: usize = 256 * 1024;
 /// reactor thread forever. Past the budget the flush arms write
 /// interest and yields; the still-writable socket re-reports on the
 /// next wait, after every other fd got its turn.
-pub(crate) const WRITE_BUDGET: usize = 256 * 1024;
+const WRITE_BUDGET: usize = 256 * 1024;
 
 /// How the reactor reacts to connection events. One handler instance
 /// serves every connection; per-connection protocol state lives in
@@ -116,34 +103,34 @@ pub trait ReactorHandler: Send + Sync + 'static {
 
 /// The send-queue state behind one connection, shared between the
 /// enqueueing threads and the connection's reactor thread.
-pub(crate) struct SendState {
-    pub(crate) frames: VecDeque<Bytes>,
+struct SendState {
+    frames: VecDeque<Bytes>,
     /// Unwritten bytes across all queued frames (the front frame's
     /// already-written prefix is excluded — the partial-write cursor
     /// itself lives in the connection, owned by its reactor thread).
-    pub(crate) queued_bytes: usize,
+    queued_bytes: usize,
     /// No further enqueues succeed; the connection is (being) severed.
-    pub(crate) closed: bool,
+    closed: bool,
     /// A flush command is already queued with the reactor thread, so
     /// further enqueues need not send another.
-    pub(crate) kick_pending: bool,
+    kick_pending: bool,
 }
 
 impl SendState {
-    pub(crate) fn kill(&mut self) {
+    fn kill(&mut self) {
         self.closed = true;
         self.frames.clear();
         self.queued_bytes = 0;
     }
 }
 
-pub(crate) struct SendQueue {
+struct SendQueue {
     s: Mutex<SendState>,
     max_bytes: usize,
 }
 
 impl SendQueue {
-    pub(crate) fn new(max_bytes: usize) -> SendQueue {
+    fn new(max_bytes: usize) -> SendQueue {
         SendQueue {
             s: Mutex::new(SendState {
                 frames: VecDeque::new(),
@@ -155,7 +142,7 @@ impl SendQueue {
         }
     }
 
-    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, SendState> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, SendState> {
         self.s.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -163,7 +150,7 @@ impl SendQueue {
 /// Cross-thread commands to a reactor thread. Registrations travel on a
 /// separate (handler-generic) queue; these are the non-generic ones a
 /// [`ConnHandle`] can issue.
-pub(crate) enum Cmd {
+enum Cmd {
     /// Try writing connection `token`'s queued frames now.
     Flush(u64),
     /// Close connection `token` (overflow or explicit sever).
@@ -171,13 +158,13 @@ pub(crate) enum Cmd {
 }
 
 /// The non-generic, handle-reachable part of one reactor thread.
-pub(crate) struct ThreadShared {
-    pub(crate) cmds: Mutex<Vec<Cmd>>,
-    pub(crate) waker: Waker,
+struct ThreadShared {
+    cmds: Mutex<Vec<Cmd>>,
+    waker: Waker,
 }
 
 impl ThreadShared {
-    pub(crate) fn push(&self, cmd: Cmd) {
+    fn push(&self, cmd: Cmd) {
         self.cmds.lock().unwrap_or_else(|e| e.into_inner()).push(cmd);
         self.waker.wake();
     }
@@ -194,9 +181,9 @@ pub const DEFAULT_OUTBOX_BYTES: usize = 4 * 1024 * 1024;
 /// connection.
 #[derive(Clone)]
 pub struct ConnHandle {
-    pub(crate) token: u64,
-    pub(crate) out: Arc<SendQueue>,
-    pub(crate) thread: Arc<ThreadShared>,
+    token: u64,
+    out: Arc<SendQueue>,
+    thread: Arc<ThreadShared>,
 }
 
 impl ConnHandle {
@@ -283,16 +270,16 @@ impl ListenerHandle {
 
 /// A connection that exists but is not yet installed in its reactor
 /// thread's entry map.
-pub(crate) struct NewConn<C> {
-    pub(crate) stream: TcpStream,
-    pub(crate) state: C,
-    pub(crate) out: Arc<SendQueue>,
-    pub(crate) token: u64,
+struct NewConn<C> {
+    stream: TcpStream,
+    state: C,
+    out: Arc<SendQueue>,
+    token: u64,
 }
 
 /// A pending cross-thread registration (generic in the handler's
 /// per-connection state, so it travels on its own queue).
-pub(crate) enum Pending<C> {
+enum Pending<C> {
     Conn(NewConn<C>),
     Listener {
         listener: TcpListener,
@@ -303,7 +290,7 @@ pub(crate) enum Pending<C> {
 }
 
 impl<C> Pending<C> {
-    pub(crate) fn token(&self) -> u64 {
+    fn token(&self) -> u64 {
         match self {
             Pending::Conn(c) => c.token,
             Pending::Listener { token, .. } => *token,
@@ -312,28 +299,28 @@ impl<C> Pending<C> {
 }
 
 /// One reactor thread's shared-side state.
-pub(crate) struct ThreadState<C> {
-    pub(crate) shared: Arc<ThreadShared>,
-    pub(crate) pending: Mutex<Vec<Pending<C>>>,
+struct ThreadState<C> {
+    shared: Arc<ThreadShared>,
+    pending: Mutex<Vec<Pending<C>>>,
 }
 
-pub(crate) struct Shared<H: ReactorHandler> {
-    pub(crate) threads: Vec<ThreadState<H::Conn>>,
-    pub(crate) handler: H,
-    pub(crate) closing: AtomicBool,
+struct Shared<H: ReactorHandler> {
+    threads: Vec<ThreadState<H::Conn>>,
+    handler: H,
+    closing: AtomicBool,
     next_token: AtomicU64,
     next_thread: AtomicUsize,
-    /// Optional instrumentation (see [`ReactorOptions::metrics`]);
+    /// Optional instrumentation (see [`Reactor::with_metrics`]);
     /// unset histograms skip recording.
-    pub(crate) metrics: ReactorMetrics,
+    metrics: ReactorMetrics,
 }
 
 impl<H: ReactorHandler> Shared<H> {
-    pub(crate) fn token(&self) -> u64 {
+    fn token(&self) -> u64 {
         self.next_token.fetch_add(1, Ordering::Relaxed)
     }
 
-    pub(crate) fn pick_thread(&self) -> usize {
+    fn pick_thread(&self) -> usize {
         self.next_thread.fetch_add(1, Ordering::Relaxed) % self.threads.len()
     }
 
@@ -344,7 +331,7 @@ impl<H: ReactorHandler> Shared<H> {
     /// [`discard_pending`](Self::discard_pending). Exactly one side
     /// ends up holding the entry — this retraction or the thread's
     /// closing sweep — so the cleanup (and `on_close`) runs once.
-    pub(crate) fn submit(&self, ti: usize, pending: Pending<H::Conn>) -> Option<Pending<H::Conn>> {
+    fn submit(&self, ti: usize, pending: Pending<H::Conn>) -> Option<Pending<H::Conn>> {
         let t = &self.threads[ti];
         let token = pending.token();
         t.pending.lock().unwrap_or_else(|e| e.into_inner()).push(pending);
@@ -364,7 +351,7 @@ impl<H: ReactorHandler> Shared<H> {
     /// its `on_close` — the handler may have registered the handle at
     /// accept time and must hear it is gone. Dropping the socket closes
     /// the fd.
-    pub(crate) fn discard_pending(&self, ti: usize, pending: Pending<H::Conn>) {
+    fn discard_pending(&self, ti: usize, pending: Pending<H::Conn>) {
         if let Pending::Conn(mut c) = pending {
             c.out.lock().kill();
             let handle = ConnHandle {
@@ -377,60 +364,26 @@ impl<H: ReactorHandler> Shared<H> {
     }
 }
 
-/// Which readiness mechanism a reactor pool's event loops run on.
-/// See the [module docs](self) for what varies (the loop body) and
-/// what does not (everything a handler or handle can observe).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// Level-triggered `epoll_wait` + `readv`/`writev` per readiness
-    /// event. Works on every Linux the repo targets.
-    #[default]
-    Epoll,
-    /// `io_uring` submission/completion rings: multishot accept,
-    /// provided-buffer recv and linked sends stay resident in the
-    /// kernel, one `io_uring_enter` per completion batch. Requested
-    /// but unavailable (old kernel, seccomp-denied syscall, missing
-    /// opcodes) degrades to [`Backend::Epoll`] silently — check
-    /// [`Reactor::backend`] for what actually runs.
-    Uring,
-}
-
-/// Optional per-pool instrumentation, recorded by whichever backend
-/// owns the measured path. Histograms come from the caller's registry
-/// so the fabric's snapshot merge sees them; unset ones cost nothing.
+/// Optional per-pool instrumentation. Histograms come from the caller's
+/// registry so the fabric's snapshot merge sees them; unset ones cost
+/// nothing.
 #[derive(Clone, Default)]
 pub struct ReactorMetrics {
-    /// Frames fully drained per `writev(2)` (epoll send path) — the
-    /// live measure of vectored-send amortization (mean 1 means every
-    /// frame still pays its own syscall).
+    /// Frames fully drained per `writev(2)` — the live measure of
+    /// vectored-send amortization (mean 1 means every frame still pays
+    /// its own syscall).
     pub writev_frames: Option<wren_obs::Histogram>,
-    /// SQEs submitted per `io_uring_enter(2)` (uring backend) — the
-    /// same amortization measure one layer down: mean 1 means every
-    /// submission still pays its own kernel crossing.
-    pub sqe_per_enter: Option<wren_obs::Histogram>,
-}
-
-/// Construction options for [`Reactor::with_options`]: the one
-/// constructor behind every pool, so backends cannot fork setup paths.
-#[derive(Clone, Default)]
-pub struct ReactorOptions {
-    /// Requested backend; resolved against runtime support at start.
-    pub backend: Backend,
-    /// Instrumentation sinks (optional registry hookup).
-    pub metrics: ReactorMetrics,
 }
 
 /// A fixed pool of event-loop threads serving listeners and framed
-/// connections over a [`Backend`]. See the [module docs](self) for the
-/// topology.
+/// connections. See the [module docs](self) for the topology.
 pub struct Reactor<H: ReactorHandler> {
     shared: Arc<Shared<H>>,
-    backend: Backend,
     threads: Mutex<Vec<LoopThread>>,
 }
 
 /// One event-loop thread with a fixed place in its owner's thread
-/// lifecycle: it is running before [`Reactor::with_options`] returns
+/// lifecycle: it is running before [`Reactor::with_metrics`] returns
 /// (`up`), and after [`Reactor::shutdown`] it finishes its sweep and
 /// then waits for [`Reactor::join`] (or the pool's drop) to let go of
 /// `may_exit` before the thread itself ends.
@@ -472,68 +425,35 @@ impl LoopThread {
 }
 
 impl<H: ReactorHandler> Reactor<H> {
-    /// Starts `threads` reactor threads (at least one) over `handler`
-    /// with default options (epoll, no instrumentation).
+    /// Starts `threads` reactor threads (at least one) over `handler`,
+    /// without instrumentation.
     ///
     /// # Errors
     ///
     /// Poller/eventfd creation errors (fd exhaustion).
     pub fn start(threads: usize, handler: H) -> io::Result<Reactor<H>> {
-        Self::with_options(threads, handler, ReactorOptions::default())
+        Self::with_metrics(threads, handler, ReactorMetrics::default())
     }
 
-    /// Starts `threads` reactor threads (at least one) over `handler`.
-    ///
-    /// The requested [`Backend`] is resolved here: `Uring` on a host
-    /// that cannot serve it (detection probe fails, or ring setup
-    /// fails at runtime — memlock limits, fd exhaustion) falls back to
-    /// `Epoll` rather than erroring, so a deployment knob can ask for
-    /// io_uring unconditionally. [`backend`](Self::backend) reports
-    /// the resolution.
+    /// Starts `threads` reactor threads (at least one) over `handler`,
+    /// recording into `metrics`.
     ///
     /// # Errors
     ///
     /// Poller/eventfd creation errors (fd exhaustion).
-    pub fn with_options(
+    pub fn with_metrics(
         threads: usize,
         handler: H,
-        opts: ReactorOptions,
+        metrics: ReactorMetrics,
     ) -> io::Result<Reactor<H>> {
         let n = threads.max(1);
-        // Resolve the backend before any thread state exists: all rings
-        // are created up front so a mid-pool setup failure can still
-        // fall back to epoll cleanly (mixed-backend pools would be a
-        // debugging trap for zero benefit).
-        let mut rings = Vec::new();
-        let backend = if opts.backend == Backend::Uring && crate::uring::available() {
-            let mut ok = true;
-            for _ in 0..n {
-                match crate::uring::Ring::new() {
-                    Ok(r) => rings.push(r),
-                    Err(_) => {
-                        rings.clear();
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                Backend::Uring
-            } else {
-                Backend::Epoll
-            }
-        } else {
-            Backend::Epoll
-        };
         let mut thread_states = Vec::with_capacity(n);
         let mut pollers = Vec::with_capacity(n);
         for _ in 0..n {
             let waker = Waker::new()?;
-            if backend == Backend::Epoll {
-                let poller = Poller::new()?;
-                waker.register(&poller, WAKER_TOKEN)?;
-                pollers.push(poller);
-            }
+            let poller = Poller::new()?;
+            waker.register(&poller, WAKER_TOKEN)?;
+            pollers.push(poller);
             thread_states.push(ThreadState {
                 shared: Arc::new(ThreadShared {
                     cmds: Mutex::new(Vec::new()),
@@ -548,46 +468,25 @@ impl<H: ReactorHandler> Reactor<H> {
             closing: AtomicBool::new(false),
             next_token: AtomicU64::new(0),
             next_thread: AtomicUsize::new(0),
-            metrics: opts.metrics,
+            metrics,
         });
         // Every loop is running when this returns, and none ends its
         // thread before `join` lets it: see `LoopThread`.
         let up = Arc::new(Barrier::new(n + 1));
         let mut threads = Vec::with_capacity(n);
-        match backend {
-            Backend::Epoll => {
-                for (i, poller) in pollers.into_iter().enumerate() {
-                    let shared = Arc::clone(&shared);
-                    threads.push(LoopThread::spawn(
-                        format!("wren-reactor-{i}"),
-                        &up,
-                        move || reactor_loop(shared, i, poller),
-                    ));
-                }
-            }
-            Backend::Uring => {
-                for (i, ring) in rings.into_iter().enumerate() {
-                    let shared = Arc::clone(&shared);
-                    threads.push(LoopThread::spawn(
-                        format!("wren-uring-{i}"),
-                        &up,
-                        move || crate::uring::uring_loop(shared, i, ring),
-                    ));
-                }
-            }
+        for (i, poller) in pollers.into_iter().enumerate() {
+            let shared = Arc::clone(&shared);
+            threads.push(LoopThread::spawn(
+                format!("wren-reactor-{i}"),
+                &up,
+                move || reactor_loop(shared, i, poller),
+            ));
         }
         up.wait();
         Ok(Reactor {
             shared,
-            backend,
             threads: Mutex::new(threads),
         })
-    }
-
-    /// The backend this pool actually runs on — [`Backend::Epoll`] when
-    /// a requested [`Backend::Uring`] was unavailable and fell back.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The handler driving this pool (counters, recorded state — the
@@ -1174,21 +1073,25 @@ fn close_conn<H: ReactorHandler>(
 mod tests {
     use super::*;
     use crate::FramedReader;
+    use std::net::Shutdown;
     use std::sync::Mutex as StdMutex;
     use std::time::Instant;
     use wren_clock::Timestamp;
     use wren_protocol::frame::frame_wren;
     use wren_protocol::WrenMsg;
 
-    /// Echoes every frame back and records accepted handles.
+    /// Echoes every frame back, records accepted handles and counts
+    /// closes.
     struct Echo {
         handles: StdMutex<Vec<ConnHandle>>,
+        closes: AtomicUsize,
     }
 
     impl Echo {
         fn new() -> Echo {
             Echo {
                 handles: StdMutex::new(Vec::new()),
+                closes: AtomicUsize::new(0),
             }
         }
     }
@@ -1209,7 +1112,9 @@ mod tests {
         fn on_frame(&self, _c: &mut (), handle: &ConnHandle, payload: Bytes) -> bool {
             handle.enqueue(reframe(&payload))
         }
-        fn on_close(&self, _c: &mut (), _handle: &ConnHandle) {}
+        fn on_close(&self, _c: &mut (), _handle: &ConnHandle) {
+            self.closes.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     fn start_echo(threads: usize, conn_cap: usize) -> (Reactor<Echo>, std::net::SocketAddr) {
@@ -1233,12 +1138,29 @@ mod tests {
         }
     }
 
+    /// Polls `cond` until it holds, panicking with `what` after 5 s.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
     #[test]
     fn echo_round_trip_over_many_connections() {
         let (reactor, addr) = start_echo(2, 1024 * 1024);
+        // Raw payloads of mixed sizes ride behind each round's message,
+        // one of them larger than READ_CHUNK so a frame reassembles
+        // across several reads.
+        let sizes = [1usize, 17, 4096, 40_000];
+        assert!(sizes.iter().any(|&n| n > READ_CHUNK));
         let mut clients: Vec<(TcpStream, FramedReader)> = (0..8)
             .map(|_| {
                 let s = connect(addr);
+                // A lost or mangled echo fails the test instead of
+                // hanging it.
+                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
                 let r = FramedReader::new(s.try_clone().unwrap());
                 (s, r)
             })
@@ -1249,6 +1171,9 @@ mod tests {
                     t: Timestamp::from_micros(round * 100 + i as u64),
                 };
                 w.write_all(&frame_wren(&msg)).unwrap();
+                for (j, &n) in sizes.iter().enumerate() {
+                    w.write_all(&reframe(&sized(round, i, j, n))).unwrap();
+                }
             }
             for (i, (_, r)) in clients.iter_mut().enumerate() {
                 let payload = r.next_frame().unwrap().expect("echoed frame");
@@ -1258,10 +1183,46 @@ mod tests {
                         t: Timestamp::from_micros(round * 100 + i as u64)
                     }
                 );
+                for (j, &n) in sizes.iter().enumerate() {
+                    let echoed = r.next_frame().unwrap().expect("echoed frame");
+                    assert_eq!(echoed.as_ref(), &sized(round, i, j, n)[..]);
+                }
             }
         }
         reactor.shutdown();
         reactor.join();
+    }
+
+    /// A payload of `n` bytes whose content names its round, connection
+    /// and slot, so a misrouted or reordered echo cannot compare equal.
+    fn sized(round: u64, conn: usize, slot: usize, n: usize) -> Vec<u8> {
+        vec![(round as u8) ^ (conn as u8) ^ (slot as u8).wrapping_mul(37); n]
+    }
+
+    #[test]
+    fn on_close_fires_exactly_once_per_connection() {
+        let (reactor, addr) = start_echo(2, 1024 * 1024);
+        let conns: Vec<TcpStream> = (0..8).map(|_| connect(addr)).collect();
+        let echo = reactor.handler();
+        wait_until("on_accept never ran for every conn", || {
+            echo.handles.lock().unwrap().len() == 8
+        });
+        // Half the peers hang up; the rest are alive at shutdown.
+        for c in conns.iter().take(4) {
+            c.shutdown(Shutdown::Both).unwrap();
+        }
+        wait_until("hung-up peers never closed", || {
+            echo.closes.load(Ordering::SeqCst) >= 4
+        });
+        assert_eq!(echo.closes.load(Ordering::SeqCst), 4, "live peers stay open");
+        reactor.shutdown();
+        reactor.join();
+        assert_eq!(
+            echo.closes.load(Ordering::SeqCst),
+            8,
+            "every accepted conn gets exactly one on_close"
+        );
+        drop(conns);
     }
 
     #[test]
@@ -1332,15 +1293,11 @@ mod tests {
         // the drain's final writev must then complete several frames in
         // one syscall, which the instrumentation histogram records.
         let hist = wren_obs::Histogram::new();
-        let reactor = Reactor::with_options(
+        let reactor = Reactor::with_metrics(
             1,
             Echo::new(),
-            ReactorOptions {
-                metrics: ReactorMetrics {
-                    writev_frames: Some(hist.clone()),
-                    sqe_per_enter: None,
-                },
-                ..ReactorOptions::default()
+            ReactorMetrics {
+                writev_frames: Some(hist.clone()),
             },
         )
         .unwrap();
@@ -1453,6 +1410,22 @@ mod tests {
         // The pre-close connection still works.
         alive.write_all(&frame_wren(&msg)).unwrap();
         assert!(reader.next_frame().unwrap().is_some());
+
+        // Restart, as a partition does: rebind the exact address on the
+        // same reactor and serve a fresh dial on it.
+        let std::net::SocketAddr::V4(v4) = addr else {
+            unreachable!("bound on IPv4 loopback")
+        };
+        let rebound = crate::poll::bind_reusable(v4).expect("address freed by the close");
+        reactor.add_listener(rebound, 0, 1024 * 1024).unwrap();
+        let mut fresh = connect(addr);
+        let mut fresh_reader = FramedReader::new(fresh.try_clone().unwrap());
+        fresh.write_all(&frame_wren(&msg)).unwrap();
+        let payload = fresh_reader
+            .next_frame()
+            .unwrap()
+            .expect("echo on the rebound listener");
+        assert_eq!(WrenMsg::decode(&payload).unwrap(), msg);
         reactor.shutdown();
         reactor.join();
     }

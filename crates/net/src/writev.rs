@@ -1,9 +1,9 @@
 //! Pure arithmetic behind the vectored send-queue drains.
 //!
-//! Both reactor backends drain queued frames with one vectored write —
-//! epoll's [`write_ready`](crate::reactor) via `writev(2)`
-//! ([`std::io::Write::write_vectored`]), uring's via one `sendmsg` SQE
-//! ([`crate::uring`]): many frames per syscall instead of one. A vectored write may be *partial* at any
+//! The reactor drains queued frames with one vectored write —
+//! [`write_ready`](crate::reactor) via `writev(2)`
+//! ([`std::io::Write::write_vectored`]): many frames per syscall
+//! instead of one. A vectored write may be *partial* at any
 //! byte — mid-frame, mid-iovec, exactly on a boundary — so the
 //! bookkeeping that turns "the kernel accepted `n` bytes" back into
 //! "which frames are done, and how far into the next one are we" must

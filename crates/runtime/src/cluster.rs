@@ -16,7 +16,7 @@ use wren_clock::{SystemClock, Timestamp};
 use wren_core::{
     FsyncPolicy, ServerStats, ServerTrace, SliceReader, TxEvent, WrenConfig, WrenServer,
 };
-use wren_net::{Backend, FaultPlan};
+use wren_net::FaultPlan;
 use wren_obs::{MetricsSnapshot, Registry};
 use wren_protocol::{ClientId, Dest, Key, Outgoing, ServerId, TxId, WrenMsg};
 
@@ -258,11 +258,9 @@ pub struct ClusterBuilder {
     gossip_tick: Duration,
     gc_tick: Duration,
     session_timeout: Duration,
-    gossip_fanout: u16,
     tcp: bool,
     tcp_client_outbox_bytes: usize,
     reactor_threads: usize,
-    backend: Backend,
     durable_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
     checkpoint_interval: Duration,
@@ -281,11 +279,9 @@ impl Default for ClusterBuilder {
             gossip_tick: Duration::from_millis(5),
             gc_tick: Duration::from_millis(50),
             session_timeout: Duration::from_secs(5),
-            gossip_fanout: 0,
             tcp: false,
             tcp_client_outbox_bytes: wren_net::DEFAULT_OUTBOX_BYTES,
             reactor_threads: 2,
-            backend: Backend::default(),
             durable_dir: None,
             fsync: FsyncPolicy::Always,
             checkpoint_interval: Duration::from_millis(500),
@@ -349,13 +345,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Stabilization topology: 0 = all-to-all broadcast (default), k ≥ 1
-    /// = k-ary aggregation tree.
-    pub fn gossip_fanout(mut self, fanout: u16) -> Self {
-        self.gossip_fanout = fanout;
-        self
-    }
-
     /// Runs the cluster over real TCP sockets on 127.0.0.1 instead of
     /// in-process channels: one listener per partition, length-prefixed
     /// framed sessions, and every protocol hop — client↔coordinator,
@@ -369,8 +358,6 @@ impl ClusterBuilder {
     /// so fabric threads are O(reactor_threads), not O(connections).
     /// The event loop that decodes a read slice also answers it, straight
     /// from the partition's store, and frames the reply.
-    /// [`Self::backend`] picks the syscall interface those loops run on
-    /// (epoll by default, or io_uring).
     ///
     /// [`Cluster::server_addrs`] exposes the bound addresses so
     /// sessions in *other processes* can join via
@@ -381,25 +368,11 @@ impl ClusterBuilder {
     }
 
     /// Size of the reactor thread pool in TCP mode (default 2, minimum
-    /// 1): the event-loop threads serving **all** connections. More
+    /// 1): the epoll event-loop threads serving **all** connections. More
     /// threads spread socket I/O across cores; connections are
     /// distributed round-robin and never migrate.
     pub fn reactor_threads(mut self, n: usize) -> Self {
         self.reactor_threads = n.max(1);
-        self
-    }
-
-    /// Which syscall backend the reactor fabric's event loops run on
-    /// (default [`Backend::Epoll`]). [`Backend::Uring`] moves accepts,
-    /// recvs and sends into io_uring submission queues — one
-    /// `io_uring_enter` per completion batch instead of per-event
-    /// `epoll_wait`/`read`/`writev` — and **falls back to epoll at
-    /// build time** when the kernel lacks io_uring (or a sandbox
-    /// denies the syscall), so it is safe to request unconditionally.
-    /// [`Cluster::tcp_backend`] reports the resolution. No effect in
-    /// channel mode.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -575,6 +548,15 @@ fn log_metrics_delta(at: Duration, delta: &MetricsSnapshot) {
     eprintln!("{line}");
 }
 
+/// The syscall interface a TCP cluster's event loops run on, as
+/// [`Cluster::tcp_backend`] reports it for run provenance. The reactor
+/// has exactly one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// Level-triggered `epoll_wait`, then `read`/`writev` per ready fd.
+    Epoll,
+}
+
 /// An in-process Wren cluster: one partition **engine** per partition —
 /// a writer thread running the protocol state machine — with read
 /// slices answered straight from the stripe-locked store by whichever
@@ -674,7 +656,6 @@ impl Cluster {
                     cfg.n_partitions,
                     cfg.tcp_client_outbox_bytes,
                     cfg.reactor_threads,
-                    cfg.backend,
                     listeners,
                     weak.clone(),
                     cfg.fault_plan.clone(),
@@ -689,7 +670,8 @@ impl Cluster {
             gossip_tick_micros: cfg.gossip_tick.as_micros() as u64,
             gc_tick_micros: cfg.gc_tick.as_micros() as u64,
             visibility_sample_every: 0,
-            gossip_fanout: cfg.gossip_fanout,
+            // Broadcast: the runtime has no aggregation-tree mode.
+            gossip_fanout: 0,
         };
 
         // Every partition is built — durable ones recovered — before the
@@ -802,11 +784,10 @@ impl Cluster {
         &self.addrs
     }
 
-    /// The syscall backend the TCP fabric's event loops resolved to —
-    /// `Epoll` when a requested [`Backend::Uring`] was unavailable and
-    /// fell back. `Some` for every TCP cluster, `None` in channel mode.
+    /// The syscall interface the TCP fabric's event loops run on:
+    /// `Some` for every TCP cluster, `None` in channel mode.
     pub fn tcp_backend(&self) -> Option<Backend> {
-        self.router.tcp().map(ReactorFabric::backend)
+        self.router.tcp().map(|_| Backend::Epoll)
     }
 
     /// Inter-server messages the TCP fabric refused to frame (always 0

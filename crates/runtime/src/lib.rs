@@ -23,8 +23,7 @@
 //!   cannot stall a partition, and [`Session::connect_tcp`] to join
 //!   from another process knowing only [`Cluster::server_addrs`]. All
 //!   sockets are served by a fixed pool of epoll reactor threads
-//!   ([`ClusterBuilder::reactor_threads`], on epoll or io_uring per
-//!   [`ClusterBuilder::backend`]) — fabric threads are
+//!   ([`ClusterBuilder::reactor_threads`]) — fabric threads are
 //!   O(reactor_threads + partitions), not O(connections);
 //! * [`ClusterBuilder::durable`] — per-partition write-ahead logging
 //!   and checkpoints: each engine logs its commits, replication applies
@@ -90,10 +89,9 @@ mod reactor_fabric;
 mod session;
 mod tcp;
 
-pub use cluster::{Cluster, ClusterBuilder};
+pub use cluster::{Backend, Cluster, ClusterBuilder};
 pub use error::RtError;
 pub use session::Session;
 pub use wren_core::{FsyncPolicy, ServerTrace, TxEvent};
 pub use wren_net::fault::{FaultPlan, FaultStats};
-pub use wren_net::Backend;
 pub use wren_obs::MetricsSnapshot;

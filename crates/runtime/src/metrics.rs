@@ -9,9 +9,7 @@
 //!   boundary: frames and bytes in/out, connections accepted and
 //!   severed, dial-backoff parks, the outbox-depth high-water mark,
 //!   the frame-ceiling drop counter and the frames-per-`writev`
-//!   histogram of the vectored drains. The metric names are the same on
-//!   both reactor backends (epoll and io_uring), so comparing the two
-//!   is a diff of two snapshots.
+//!   histogram of the vectored drains.
 //! * [`SessionMetrics`] — client-side operation latencies (begin /
 //!   read / commit round trips) and the explicit-abort counter, shared
 //!   by every session the cluster hands out.
@@ -45,14 +43,10 @@ pub(crate) struct FabricMetrics {
     pub dropped_frames: Counter,
     /// High-water mark of queued (unwritten) bytes across outboxes.
     pub outbox_depth_bytes: Gauge,
-    /// Frames retired per `writev` call by the epoll backend's
-    /// vectored drains; a mean above 1 under pipelined load is the syscall
+    /// Frames retired per `writev` call by the reactor's vectored
+    /// drains; a mean above 1 under pipelined load is the syscall
     /// batching working.
     pub writev_frames_per_call: Histogram,
-    /// SQEs submitted per `io_uring_enter` by the uring backend's
-    /// event loops; a mean above 1 under pipelined load is the
-    /// submission batching working. Empty on epoll clusters.
-    pub uring_sqe_per_enter: Histogram,
 }
 
 impl FabricMetrics {
@@ -69,7 +63,6 @@ impl FabricMetrics {
             dropped_frames: registry.counter("tcp_dropped_frames"),
             outbox_depth_bytes: registry.gauge("tcp_outbox_depth_bytes"),
             writev_frames_per_call: registry.histogram("fabric_writev_frames_per_call"),
-            uring_sqe_per_enter: registry.histogram("uring_sqe_per_enter"),
             registry,
         }
     }

@@ -1,6 +1,6 @@
 //! The TCP fabric: the cluster's engines behind real sockets, served
-//! by a **fixed pool of reactor threads** ([`Reactor`], epoll or
-//! io_uring) instead of threads per connection.
+//! by a **fixed pool of epoll reactor threads** ([`Reactor`]) instead
+//! of threads per connection.
 //!
 //! In channel mode every hop is a crossbeam send; in TCP mode every
 //! protocol message — client↔coordinator, coordinator↔cohort,
@@ -82,8 +82,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use wren_net::{
-    Backend, ConnHandle, FaultPlan, Hello, ListenerHandle, Reactor, ReactorHandler, ReactorMetrics,
-    ReactorOptions, SendVerdict,
+    ConnHandle, FaultPlan, Hello, ListenerHandle, Reactor, ReactorHandler, ReactorMetrics,
+    SendVerdict,
 };
 use wren_protocol::frame::try_frame_wren;
 use wren_protocol::{ClientId, Dest, ServerId, WrenMsg};
@@ -208,13 +208,11 @@ impl ReactorFabric {
     /// handler gets a `Weak` — frames arriving before the router Arc
     /// finishes construction (or after it drops) are simply dropped,
     /// like sends during shutdown.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         addrs: Vec<SocketAddr>,
         n_partitions: u16,
         client_outbox_bytes: usize,
         reactor_threads: usize,
-        backend: Backend,
         listeners: BoundListeners,
         router: Weak<Router>,
         faults: Option<FaultPlan>,
@@ -225,15 +223,11 @@ impl ReactorFabric {
             n_servers: addrs.len(),
         };
         let metrics = FabricMetrics::new();
-        let reactor = Reactor::with_options(
+        let reactor = Reactor::with_metrics(
             reactor_threads,
             handler,
-            ReactorOptions {
-                backend,
-                metrics: ReactorMetrics {
-                    writev_frames: Some(metrics.writev_frames_per_call.clone()),
-                    sqe_per_enter: Some(metrics.uring_sqe_per_enter.clone()),
-                },
+            ReactorMetrics {
+                writev_frames: Some(metrics.writev_frames_per_call.clone()),
             },
         )
         .expect("start reactor pool");
@@ -478,12 +472,6 @@ impl ReactorFabric {
     /// Thin shim over the registry counter of the same name.
     pub(crate) fn dropped_frames(&self) -> u64 {
         self.metrics.dropped_frames.get()
-    }
-
-    /// The syscall backend the pool resolved to (epoll fallback shows
-    /// here when a requested uring was unavailable).
-    pub(crate) fn backend(&self) -> Backend {
-        self.reactor.backend()
     }
 
     /// The fabric's metric registry (folded into the cluster snapshot).

@@ -8,15 +8,10 @@
 //! outlives its socket, or an unreaped fd per connection would
 //! overflow the process within a few waves.
 //!
-//! Release CI runs this with the full 10k (40 waves x 250 sessions)
-//! **per reactor backend** — epoll and, where the kernel offers it,
-//! io_uring (with a skip notice when the uring leg fell back to
-//! epoll); debug builds scale down to keep `cargo test` humane. Every
-//! session in every wave commits a real write, so each connection is a
-//! live, registered, served socket — not just an accept. Churn is
-//! exactly where the uring lifecycle (multishot accept terminating,
-//! inflight SQEs draining, provided buffers recycling) would leak fds
-//! if it were sloppy.
+//! Release CI runs this with the full 10k (40 waves x 250 sessions);
+//! debug builds scale down to keep `cargo test` humane. Every session
+//! in every wave commits a real write, so each connection is a live,
+//! registered, served socket — not just an accept.
 //!
 //! Like `thread_budget`, this test lives alone in its file: it reads
 //! process-wide thread and fd counts from /proc, and any concurrently
@@ -25,7 +20,7 @@
 use bytes::Bytes;
 use std::time::{Duration, Instant};
 use wren_protocol::Key;
-use wren_rt::{Backend, ClusterBuilder, Session};
+use wren_rt::{ClusterBuilder, Session};
 
 /// Current thread count of this process, from `/proc/self/status`.
 fn thread_count() -> usize {
@@ -69,29 +64,13 @@ fn transact(sessions: &mut [Session]) {
 
 #[test]
 fn ten_thousand_connection_churn_holds_the_thread_and_fd_budget() {
-    for backend in [Backend::Epoll, Backend::Uring] {
-        churn_on(backend);
-    }
-}
-
-fn churn_on(backend: Backend) {
     let (waves, per_wave) = if cfg!(debug_assertions) {
         (8, 50) // 400 connections: same lifecycle, test-time humane
     } else {
         (40, 250) // the full 10,000
     };
 
-    let cluster = ClusterBuilder::new()
-        .dcs(1)
-        .partitions(2)
-        .tcp()
-        .backend(backend)
-        .build();
-    if backend == Backend::Uring && cluster.tcp_backend() == Some(Backend::Epoll) {
-        eprintln!(
-            "SKIP [uring]: io_uring unavailable, churn leg ran on the epoll fallback"
-        );
-    }
+    let cluster = ClusterBuilder::new().dcs(1).partitions(2).tcp().build();
 
     // Warm baseline: all inter-partition links up, client path served,
     // counts settled.

@@ -3,13 +3,6 @@
 //! the acceptor path, the partition writer thread, or the event loops;
 //! the slow reader is disconnected by its bounded outbox, and shutdown
 //! still joins every thread deterministically afterwards.
-//!
-//! Every scenario runs against **both reactor backends** — epoll, and
-//! io_uring where the kernel offers it — with identical assertions:
-//! the slow-client semantics are a contract of the transport, not of
-//! the syscall interface serving it. On hosts without io_uring the
-//! uring leg falls back to epoll with a notice; the assertions still
-//! hold on the fallback.
 
 use bytes::Bytes;
 use std::io::{Read, Write};
@@ -19,30 +12,7 @@ use wren_clock::Timestamp;
 use wren_net::Hello;
 use wren_protocol::frame::{frame_wren, FrameDecoder};
 use wren_protocol::{ClientId, Key, WrenMsg};
-use wren_rt::{Backend, Cluster, ClusterBuilder};
-
-/// How a scenario turns a builder into a TCP-mode cluster: each backend
-/// appears once, tagged for assertion messages.
-type FabricCfg = (&'static str, fn(ClusterBuilder) -> ClusterBuilder);
-
-/// The reactor fabric over the io_uring backend (fn-pointer-shaped so
-/// it slots into [`FabricCfg`] next to the builder methods).
-fn tcp_uring(b: ClusterBuilder) -> ClusterBuilder {
-    b.tcp().backend(Backend::Uring)
-}
-
-fn fabrics() -> [FabricCfg; 2] {
-    [("reactor", ClusterBuilder::tcp), ("uring", tcp_uring)]
-}
-
-/// Loud notice when the `uring` leg actually ran on the epoll fallback
-/// (io_uring unavailable): the scenario still holds — the slow-client
-/// contract is backend-independent — but it was not an io_uring run.
-fn note_uring_fallback(name: &str, cluster: &Cluster) {
-    if name == "uring" && cluster.tcp_backend() == Some(Backend::Epoll) {
-        eprintln!("SKIP [{name}]: io_uring unavailable, leg ran on the epoll fallback");
-    }
-}
+use wren_rt::ClusterBuilder;
 
 /// Joins a thread but panics (instead of hanging the suite) if it takes
 /// longer than `secs` — the watchdog for "deterministic shutdown".
@@ -77,10 +47,9 @@ fn read_one_msg(stream: &mut TcpStream) -> WrenMsg {
 /// must not wedge the accept path: sessions connecting *after* the
 /// dribbler keep transacting at full speed, and the dribbler still gets
 /// its (correct) response eventually.
-fn dribbling_client_wedges_nothing_on(fabric: FabricCfg) {
-    let (name, tcp) = fabric;
-    let cluster = tcp(ClusterBuilder::new().dcs(1).partitions(2)).build();
-    note_uring_fallback(name, &cluster);
+#[test]
+fn dribbling_client_wedges_nothing() {
+    let cluster = ClusterBuilder::new().dcs(1).partitions(2).tcp().build();
     let addr = cluster.server_addrs()[0];
 
     let dribbler = std::thread::spawn(move || {
@@ -110,7 +79,7 @@ fn dribbling_client_wedges_nothing_on(fabric: FabricCfg) {
         s.write(Key(i), Bytes::from(i.to_le_bytes().to_vec()));
         s.commit().unwrap();
     }
-    assert_eq!(s.stats().txs_committed, 30, "[{name}] healthy session starved");
+    assert_eq!(s.stats().txs_committed, 30, "healthy session starved");
 
     join_within(dribbler, 30, "dribbling client");
     drop(s);
@@ -118,27 +87,20 @@ fn dribbling_client_wedges_nothing_on(fabric: FabricCfg) {
     join_within(stop, 30, "cluster stop after dribbling client");
 }
 
-#[test]
-fn dribbling_client_wedges_nothing() {
-    for fabric in fabrics() {
-        dribbling_client_wedges_nothing_on(fabric);
-    }
-}
-
 /// A client that requests data and then stops reading must back up its
 /// own bounded outbox and get disconnected — while the partition writer
 /// thread keeps serving everyone else, and shutdown still joins
 /// everything.
-fn stalled_reader_is_disconnected_on(fabric: FabricCfg) {
-    let (name, tcp) = fabric;
+#[test]
+fn stalled_reader_is_disconnected_not_blocking() {
     // Tiny outbox so the overflow trips long before the test's data
     // volume; big values so kernel socket buffers saturate quickly.
-    let cluster = tcp(ClusterBuilder::new()
+    let cluster = ClusterBuilder::new()
         .dcs(1)
         .partitions(2)
-        .tcp_client_outbox_bytes(64 * 1024))
-    .build();
-    note_uring_fallback(name, &cluster);
+        .tcp()
+        .tcp_client_outbox_bytes(64 * 1024)
+        .build();
     let n_partitions = 2u16;
 
     // A key owned by partition 0, whose listener the stalled client
@@ -165,7 +127,7 @@ fn stalled_reader_is_disconnected_on(fabric: FabricCfg) {
         if got.as_ref().map(|v| v.len()) == Some(big_value.len()) {
             break;
         }
-        assert!(Instant::now() < deadline, "[{name}] seed value never stabilized");
+        assert!(Instant::now() < deadline, "seed value never stabilized");
         std::thread::sleep(Duration::from_millis(2));
     }
     drop(prober);
@@ -236,7 +198,7 @@ fn stalled_reader_is_disconnected_on(fabric: FabricCfg) {
         healthy.commit().unwrap();
         assert!(
             Instant::now() < healthy_deadline,
-            "[{name}] healthy session starved by a stalled peer"
+            "healthy session starved by a stalled peer"
         );
     }
 
@@ -248,25 +210,18 @@ fn stalled_reader_is_disconnected_on(fabric: FabricCfg) {
     assert_eq!(stats.len(), 2, "deterministic shutdown joined every engine");
 }
 
-#[test]
-fn stalled_reader_is_disconnected_not_blocking() {
-    for fabric in fabrics() {
-        stalled_reader_is_disconnected_on(fabric);
-    }
-}
-
 /// A prompt reader is never disconnected for one large response: a
 /// single response frame bigger than the client outbox cap is admitted
 /// when the queue is empty (the cap catches stalled readers, not big
 /// messages).
-fn large_response_survives_tiny_cap_on(fabric: FabricCfg) {
-    let (name, tcp) = fabric;
-    let cluster = tcp(ClusterBuilder::new()
+#[test]
+fn large_response_to_prompt_reader_survives_tiny_outbox_cap() {
+    let cluster = ClusterBuilder::new()
         .dcs(1)
         .partitions(2)
-        .tcp_client_outbox_bytes(1024)) // far below the response size
-    .build();
-    note_uring_fallback(name, &cluster);
+        .tcp()
+        .tcp_client_outbox_bytes(1024) // far below the response size
+        .build();
     let big = Bytes::from(vec![0x5A; 32 * 1024]);
     let mut writer = cluster.session(0);
     writer.begin().unwrap();
@@ -281,10 +236,7 @@ fn large_response_survives_tiny_cap_on(fabric: FabricCfg) {
         if got.as_ref().map(|v| v.len()) == Some(big.len()) {
             break;
         }
-        assert!(
-            Instant::now() < deadline,
-            "[{name}] 32 KiB response never arrived"
-        );
+        assert!(Instant::now() < deadline, "32 KiB response never arrived");
         std::thread::sleep(Duration::from_millis(2));
     }
     drop(writer);
@@ -293,21 +245,13 @@ fn large_response_survives_tiny_cap_on(fabric: FabricCfg) {
     join_within(stop, 30, "cluster stop after large response");
 }
 
-#[test]
-fn large_response_to_prompt_reader_survives_tiny_outbox_cap() {
-    for fabric in fabrics() {
-        large_response_survives_tiny_cap_on(fabric);
-    }
-}
-
 /// The transport's request bounds are enforced at the server boundary,
 /// not just in the session library: a raw client pushing an over-wide
 /// read is severed, and the library surfaces the same bound as a clean
 /// error instead.
-fn over_wide_read_is_bounded_on(fabric: FabricCfg) {
-    let (name, tcp) = fabric;
-    let cluster = tcp(ClusterBuilder::new().dcs(1).partitions(2)).build();
-    note_uring_fallback(name, &cluster);
+#[test]
+fn over_wide_read_is_bounded_at_both_ends() {
+    let cluster = ClusterBuilder::new().dcs(1).partitions(2).tcp().build();
 
     // Library side: > 512 uncached keys in one read errors cleanly.
     let mut session = cluster.session(0);
@@ -315,7 +259,7 @@ fn over_wide_read_is_bounded_on(fabric: FabricCfg) {
     let keys: Vec<Key> = (0..600).map(Key).collect();
     assert!(
         matches!(session.read(&keys), Err(wren_rt::RtError::TooLarge)),
-        "[{name}] over-wide library read must error cleanly"
+        "over-wide library read must error cleanly"
     );
     drop(session); // tx intentionally abandoned
 
@@ -347,7 +291,7 @@ fn over_wide_read_is_bounded_on(fabric: FabricCfg) {
     let mut sink = [0u8; 256];
     match stream.read(&mut sink) {
         Ok(0) | Err(_) => {} // severed
-        Ok(n) => panic!("[{name}] expected severed connection, got {n} bytes"),
+        Ok(n) => panic!("expected severed connection, got {n} bytes"),
     }
 
     // The partition is unharmed either way.
@@ -360,20 +304,12 @@ fn over_wide_read_is_bounded_on(fabric: FabricCfg) {
     join_within(stop, 30, "cluster stop after over-wide reads");
 }
 
-#[test]
-fn over_wide_read_is_bounded_at_both_ends() {
-    for fabric in fabrics() {
-        over_wide_read_is_bounded_on(fabric);
-    }
-}
-
 /// A client that vanishes mid-frame (truncated request) is dropped
 /// without poisoning the partition; an oversized length prefix is
 /// rejected before any buffering.
-fn truncated_request_is_severed_on(fabric: FabricCfg) {
-    let (name, tcp) = fabric;
-    let cluster = tcp(ClusterBuilder::new().dcs(1).partitions(2)).build();
-    note_uring_fallback(name, &cluster);
+#[test]
+fn truncated_request_is_severed_cleanly() {
+    let cluster = ClusterBuilder::new().dcs(1).partitions(2).tcp().build();
     let addr = cluster.server_addrs()[0];
     {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -401,7 +337,7 @@ fn truncated_request_is_severed_on(fabric: FabricCfg) {
         // Server severs: EOF (or reset) rather than a response.
         match stream.read(&mut sink) {
             Ok(0) | Err(_) => {}
-            Ok(n) => panic!("[{name}] expected severed connection, got {n} bytes"),
+            Ok(n) => panic!("expected severed connection, got {n} bytes"),
         }
     }
     // The partition is unharmed.
@@ -412,11 +348,4 @@ fn truncated_request_is_severed_on(fabric: FabricCfg) {
     drop(s);
     let stop = std::thread::spawn(move || cluster.stop());
     join_within(stop, 30, "cluster stop after truncated client");
-}
-
-#[test]
-fn truncated_request_is_severed_cleanly() {
-    for fabric in fabrics() {
-        truncated_request_is_severed_on(fabric);
-    }
 }

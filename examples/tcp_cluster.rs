@@ -25,13 +25,11 @@
 //!    histograms from the partition engines, socket-boundary counters
 //!    from the fabric, session-op latencies — with tail percentiles,
 //!    Prometheus rendering and per-partition trace rings.
-//! 5. **Measure all three transports** (`wren_harness::run_rt`): the
-//!    same closed-loop workload over channels, epoll-reactor TCP and
-//!    uring-reactor TCP. Channel→TCP is the end-to-end price of
-//!    serialization plus kernel round-trips — the cost the paper's
-//!    cluster experiments pay on every operation; epoll→uring is the
-//!    syscall-interface difference at the same thread topology and
-//!    wire cost. Compare the tails (p99/p999) too; the mean hides them.
+//! 5. **Measure both transports** (`wren_harness::run_rt`): the same
+//!    closed-loop workload over channels and reactor TCP. Channel→TCP
+//!    is the end-to-end price of serialization plus kernel round-trips
+//!    — the cost the paper's cluster experiments pay on every
+//!    operation. Compare the tails (p99/p999) too; the mean hides them.
 //! 6. **Shut down deterministically**: listeners closed, in-flight
 //!    connections severed, every reactor thread joined. Run it twice;
 //!    `shutdown` is idempotent.
@@ -141,7 +139,7 @@ fn main() {
     cluster.shutdown();
     drop(cluster);
 
-    // --- 5. The transport bill: same closed-loop workload, all three
+    // --- 5. The transport bill: same closed-loop workload, both
     // transports. (Loopback TCP still pays encode + frame + two syscall
     // crossings per hop; real NICs would add propagation on top.)
     println!("\nclosed-loop comparison (4 sessions x 300 tx, 1 DC x 4 partitions):");
@@ -152,7 +150,6 @@ fn main() {
     for (name, transport) in [
         ("channel", RtTransport::Channel),
         ("tcp-reactor", RtTransport::Tcp),
-        ("tcp-uring", RtTransport::TcpUring),
     ] {
         let result = run_rt(&RtSpec {
             dcs: 1,

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use wren::protocol::{Key, ServerId};
-use wren::rt::{Backend, Cluster, ClusterBuilder, FaultPlan, FsyncPolicy, RtError, Session};
+use wren::rt::{Cluster, ClusterBuilder, FaultPlan, FsyncPolicy, RtError, Session};
 
 fn bval(i: u64) -> Bytes {
     Bytes::from(i.to_le_bytes().to_vec())
@@ -132,18 +132,20 @@ fn expect_converges(
     }
 }
 
-/// Drives one reactor backend through the storm. `seed` feeds both the fault
-/// plan and the schedule RNG, so the whole run replays from one number.
-fn chaos_run(
-    fabric_name: &str,
-    fabric: fn(ClusterBuilder) -> ClusterBuilder,
-    seed: u64,
-) {
-    eprintln!("chaos_failover[{fabric_name}]: seed = {seed} (replay with CHAOS_SEED={seed})");
+/// Drives the reactor fabric through the storm. The seed feeds both the
+/// fault plan and the schedule RNG, so the whole run replays from one
+/// number.
+#[test]
+fn chaos_failover_reactor_fabric() {
+    let seed = chaos_seed();
+    eprintln!("chaos_failover[reactor]: seed = {seed} (replay with CHAOS_SEED={seed})");
     let mut rng = SmallRng::seed_from_u64(seed);
     let plan = FaultPlan::seeded(seed);
-    let root = tmp_root(fabric_name);
-    let mut cluster = fabric(ClusterBuilder::new().dcs(2).partitions(2))
+    let root = tmp_root("reactor");
+    let mut cluster = ClusterBuilder::new()
+        .dcs(2)
+        .partitions(2)
+        .tcp()
         .durable(&root)
         .fsync(FsyncPolicy::Always)
         .checkpoint_interval(Duration::from_millis(25))
@@ -161,9 +163,6 @@ fn chaos_run(
         .tx_abort_timeout(Duration::from_millis(300))
         .fault_plan(plan.clone())
         .build();
-    if fabric_name == "uring" && cluster.tcp_backend() == Some(Backend::Epoll) {
-        eprintln!("SKIP [uring]: io_uring unavailable, leg ran on the epoll fallback");
-    }
 
     // Writers live on partition 0 of each DC; kills only ever target
     // partition 1, so a writer's coordinator is never the victim (its
@@ -236,7 +235,7 @@ fn chaos_run(
             &mut reader,
             &oracle,
             Duration::from_secs(20),
-            &format!("{fabric_name} seed {seed}: DC {dc} after the storm"),
+            &format!("reactor seed {seed}: DC {dc} after the storm"),
         );
     }
     assert!(
@@ -245,25 +244,9 @@ fn chaos_run(
         plan.stats()
     );
     eprintln!(
-        "chaos_failover[{fabric_name}]: converged; injected = {:?}",
+        "chaos_failover[reactor]: converged; injected = {:?}",
         plan.stats()
     );
     cluster.stop();
     let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn chaos_failover_reactor_fabric() {
-    chaos_run("reactor", ClusterBuilder::tcp, chaos_seed());
-}
-
-#[test]
-fn chaos_failover_uring_fabric() {
-    // Offset the seed so the two backends see different storms by
-    // default while both remain replayable via CHAOS_SEED.
-    chaos_run(
-        "uring",
-        |b| b.tcp().backend(Backend::Uring),
-        chaos_seed() ^ 1,
-    );
 }

@@ -84,7 +84,7 @@ fn channel_cluster_stabilizes_without_gossip_ticks() {
 
 #[test]
 fn epoll_tcp_cluster_stabilizes_without_gossip_ticks() {
-    let cluster = cluster().tcp().backend(Backend::Epoll).build();
+    let cluster = cluster().tcp().build();
     assert_eq!(cluster.tcp_backend(), Some(Backend::Epoll));
     writes_become_visible_without_ticks(&cluster, "epoll tcp");
     assert_eq!(cluster.tcp_dropped_frames(), 0);

@@ -21,27 +21,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 use wren::protocol::Key;
-use wren::rt::{Backend, Cluster, ClusterBuilder, Session};
-
-/// The reactor fabric over the io_uring backend. Builder-shaped so it
-/// can sit in the same fn-pointer tables as [`ClusterBuilder::tcp`];
-/// on hosts without io_uring the cluster falls back to epoll and
-/// [`uring_skipped`] lets callers notice.
-fn tcp_uring(b: ClusterBuilder) -> ClusterBuilder {
-    b.tcp().backend(Backend::Uring)
-}
-
-/// True (with a loud notice) when `cluster` was asked for io_uring but
-/// fell back — the run is still a valid epoll run, but it did not
-/// exercise the uring backend.
-fn uring_skipped(cluster: &Cluster, test: &str) -> bool {
-    if cluster.tcp_backend() == Some(Backend::Epoll) {
-        eprintln!("SKIP {test}: io_uring unavailable, uring leg ran on the epoll fallback");
-        true
-    } else {
-        false
-    }
-}
+use wren::rt::{Cluster, ClusterBuilder, Session};
 
 /// Drives `txs` random transactions over live sessions (round-robin
 /// random interleaving, one in flight at a time so the oracle has a
@@ -110,31 +90,20 @@ fn random_live_history(cluster: &Cluster, seed: u64, sessions_per_dc: usize, txs
 
 /// The headline check: the full causal/session oracle against a
 /// TCP-backed loopback cluster, multi-DC, with zero blocked reads and
-/// a loss-free transport — on **both** reactor backends (epoll behind
-/// [`ClusterBuilder::tcp`], and io_uring where the kernel offers it).
+/// a loss-free transport.
 #[test]
 fn tcp_loopback_cluster_passes_causal_oracle() {
-    for (seed, fabric) in [
-        (42u64, ClusterBuilder::tcp as fn(ClusterBuilder) -> ClusterBuilder),
-        (44u64, tcp_uring),
-    ] {
-        let cluster = fabric(ClusterBuilder::new().dcs(2).partitions(2)).build();
-        if seed == 44 {
-            // The uring leg: a fallback run is still a valid oracle
-            // pass, just not an io_uring one — say so.
-            let _ = uring_skipped(&cluster, "tcp_loopback_cluster_passes_causal_oracle");
-        }
-        let reads = random_live_history(&cluster, seed, 2, 150);
-        assert!(reads > 0);
-        assert_eq!(
-            cluster.tcp_dropped_frames(),
-            0,
-            "the transport must be loss-free while the oracle holds"
-        );
-        let stats = cluster.stop();
-        let slices: u64 = stats.iter().map(|s| s.slices_served).sum();
-        assert!(slices > 0, "reads were served by the engines");
-    }
+    let cluster = ClusterBuilder::new().dcs(2).partitions(2).tcp().build();
+    let reads = random_live_history(&cluster, 42, 2, 150);
+    assert!(reads > 0);
+    assert_eq!(
+        cluster.tcp_dropped_frames(),
+        0,
+        "the transport must be loss-free while the oracle holds"
+    );
+    let stats = cluster.stop();
+    let slices: u64 = stats.iter().map(|s| s.slices_served).sum();
+    assert!(slices > 0, "reads were served by the engines");
 }
 
 /// Single-DC, more partitions, reactor pools of one and three threads —
@@ -156,10 +125,10 @@ fn tcp_oracle_across_engine_configs() {
     }
 }
 
-/// The same seeded schedule against all three transports — in-process
-/// channels, epoll-reactor TCP, uring-reactor TCP: the oracle holds on
-/// each, and the deterministic fragment (a session's own final reads
-/// after quiescence) is identical across all of them.
+/// The same seeded schedule against both transports — in-process
+/// channels and reactor TCP: the oracle holds on each, and the
+/// deterministic fragment (a session's own final reads after
+/// quiescence) is identical across them.
 #[test]
 fn channel_and_tcp_agree_on_scripted_results() {
     fn scripted(cluster: &Cluster) -> Vec<(Key, Option<Vec<u8>>)> {
@@ -199,24 +168,15 @@ fn channel_and_tcp_agree_on_scripted_results() {
 
     let channel_cluster = ClusterBuilder::new().dcs(1).partitions(3).build();
     let reactor_cluster = ClusterBuilder::new().dcs(1).partitions(3).tcp().build();
-    let uring_cluster = tcp_uring(ClusterBuilder::new().dcs(1).partitions(3)).build();
-    let _ = uring_skipped(&uring_cluster, "channel_and_tcp_agree_on_scripted_results");
     let via_channel = scripted(&channel_cluster);
     let via_reactor = scripted(&reactor_cluster);
-    let via_uring = scripted(&uring_cluster);
     assert_eq!(
         via_channel, via_reactor,
         "the reactor fabric must not change what a quiesced cluster serves"
     );
-    assert_eq!(
-        via_channel, via_uring,
-        "the uring backend must not change what a quiesced cluster serves"
-    );
     assert_eq!(reactor_cluster.tcp_dropped_frames(), 0);
-    assert_eq!(uring_cluster.tcp_dropped_frames(), 0);
     channel_cluster.stop();
     reactor_cluster.stop();
-    uring_cluster.stop();
 }
 
 /// The explicit session guarantees (`session_guarantees.rs` logic) over

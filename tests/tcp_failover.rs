@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use wren::protocol::{Key, ServerId};
-use wren::rt::{Backend, Cluster, ClusterBuilder, FaultPlan, FsyncPolicy, RtError, Session};
+use wren::rt::{Cluster, ClusterBuilder, FaultPlan, FsyncPolicy, RtError, Session};
 
 fn bval(i: u64) -> Bytes {
     Bytes::from(i.to_le_bytes().to_vec())
@@ -74,12 +74,6 @@ fn expect_converges(
     }
 }
 
-/// The reactor fabric over the io_uring backend, builder-shaped so it
-/// sits in the same fn-pointer table as [`ClusterBuilder::tcp`].
-fn tcp_uring(b: ClusterBuilder) -> ClusterBuilder {
-    b.tcp().backend(Backend::Uring)
-}
-
 /// Commits `value` to `key` through `session`, updating the oracle map.
 fn put(session: &mut Session, oracle: &mut HashMap<Key, u64>, key: Key, value: u64) {
     session.begin().unwrap();
@@ -88,84 +82,77 @@ fn put(session: &mut Session, oracle: &mut HashMap<Key, u64>, key: Key, value: u
     oracle.insert(key, value);
 }
 
-/// The crash-recovery oracle over real sockets, on **both** reactor
-/// backends: a partition dies abruptly (listener closed, connections
-/// severed), traffic continues around it, and after restart every DC
-/// converges to exactly the acknowledged writer-per-key state — the
-/// sibling re-ships what died in flight, the WAL re-materializes what
-/// the victim itself acknowledged. The uring leg is the one io_uring
-/// kill/restart path: closing the victim's listener cancels its
-/// multishot accept, the restart rebinds the same address with
+/// The crash-recovery oracle over real sockets: a partition dies
+/// abruptly (listener closed, connections severed), traffic continues
+/// around it, and after restart every DC converges to exactly the
+/// acknowledged writer-per-key state — the sibling re-ships what died
+/// in flight, the WAL re-materializes what the victim itself
+/// acknowledged. The restart rebinds the same address with
 /// `SO_REUSEADDR`, and peers re-dial it.
 #[test]
-fn kill_and_restart_preserves_writes_over_both_fabrics() {
-    for (fabric_name, fabric) in [
-        ("reactor", ClusterBuilder::tcp as fn(ClusterBuilder) -> ClusterBuilder),
-        ("uring", tcp_uring),
-    ] {
-        let root = tmp_root(fabric_name);
-        let mut cluster = fabric(ClusterBuilder::new().dcs(2).partitions(2))
-            .durable(&root)
-            .fsync(FsyncPolicy::Always)
-            .checkpoint_interval(Duration::from_millis(25))
-            .replication_tick(Duration::from_millis(1))
-            .gossip_tick(Duration::from_millis(2))
-            .session_timeout(Duration::from_secs(10))
-            .build();
-        if fabric_name == "uring" && cluster.tcp_backend() == Some(Backend::Epoll) {
-            eprintln!("SKIP [uring]: io_uring unavailable, leg ran on the epoll fallback");
-        }
+fn kill_and_restart_preserves_writes_over_tcp() {
+    let root = tmp_root("reactor");
+    let mut cluster = ClusterBuilder::new()
+        .dcs(2)
+        .partitions(2)
+        .tcp()
+        .durable(&root)
+        .fsync(FsyncPolicy::Always)
+        .checkpoint_interval(Duration::from_millis(25))
+        .replication_tick(Duration::from_millis(1))
+        .gossip_tick(Duration::from_millis(2))
+        .session_timeout(Duration::from_secs(10))
+        .build();
 
-        // Writers on partition 0 in each DC: the victim is (1,1).
-        let mut a = session_at(&cluster, 0, 0);
-        let mut b = session_at(&cluster, 1, 0);
-        let keys: Vec<Key> = (0..8u64).map(Key).collect();
-        let mut oracle = HashMap::new();
+    // Writers on partition 0 in each DC: the victim is (1,1).
+    let mut a = session_at(&cluster, 0, 0);
+    let mut b = session_at(&cluster, 1, 0);
+    let keys: Vec<Key> = (0..8u64).map(Key).collect();
+    let mut oracle = HashMap::new();
 
-        // Phase 1: both DCs write, checkpoints rotating underneath.
-        for round in 1..=8u64 {
-            for (ki, key) in keys.iter().enumerate() {
-                let v = round * 1_000 + ki as u64;
-                let s = if ki % 2 == 0 { &mut a } else { &mut b };
-                put(s, &mut oracle, *key, v);
-            }
+    // Phase 1: both DCs write, checkpoints rotating underneath.
+    for round in 1..=8u64 {
+        for (ki, key) in keys.iter().enumerate() {
+            let v = round * 1_000 + ki as u64;
+            let s = if ki % 2 == 0 { &mut a } else { &mut b };
+            put(s, &mut oracle, *key, v);
         }
-
-        // Phase 2: kill (1,1); DC 0 keeps writing through the outage
-        // (its replication frames to the victim die with the sockets).
-        cluster.kill_partition(1, 1);
-        for round in 9..=14u64 {
-            for (ki, key) in keys.iter().enumerate() {
-                if ki % 2 == 0 {
-                    put(&mut a, &mut oracle, *key, round * 1_000 + ki as u64);
-                }
-            }
-        }
-
-        // Phase 3: restart — the address rebinds, peers un-park their
-        // links, recovery + catch-up + stabilization run. The pre-kill
-        // DC-1 session must keep working across the outage.
-        cluster.restart_partition(1, 1);
-        for round in 15..=18u64 {
-            for (ki, key) in keys.iter().enumerate() {
-                if ki % 2 == 1 {
-                    put(&mut b, &mut oracle, *key, round * 1_000 + ki as u64);
-                }
-            }
-        }
-
-        for dc in 0..2u8 {
-            let mut reader = cluster.session(dc);
-            expect_converges(
-                &mut reader,
-                &oracle,
-                Duration::from_secs(15),
-                &format!("{fabric_name}: DC {dc} after kill/restart"),
-            );
-        }
-        cluster.stop();
-        let _ = std::fs::remove_dir_all(&root);
     }
+
+    // Phase 2: kill (1,1); DC 0 keeps writing through the outage
+    // (its replication frames to the victim die with the sockets).
+    cluster.kill_partition(1, 1);
+    for round in 9..=14u64 {
+        for (ki, key) in keys.iter().enumerate() {
+            if ki % 2 == 0 {
+                put(&mut a, &mut oracle, *key, round * 1_000 + ki as u64);
+            }
+        }
+    }
+
+    // Phase 3: restart — the address rebinds, peers un-park their
+    // links, recovery + catch-up + stabilization run. The pre-kill
+    // DC-1 session must keep working across the outage.
+    cluster.restart_partition(1, 1);
+    for round in 15..=18u64 {
+        for (ki, key) in keys.iter().enumerate() {
+            if ki % 2 == 1 {
+                put(&mut b, &mut oracle, *key, round * 1_000 + ki as u64);
+            }
+        }
+    }
+
+    for dc in 0..2u8 {
+        let mut reader = cluster.session(dc);
+        expect_converges(
+            &mut reader,
+            &oracle,
+            Duration::from_secs(15),
+            &format!("reactor: DC {dc} after kill/restart"),
+        );
+    }
+    cluster.stop();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A session whose **coordinator** is the victim: its socket dies with
